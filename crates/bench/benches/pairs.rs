@@ -1,4 +1,5 @@
-//! Ablation: O(n²) reference vs O(n log² n) CDQ violation-pair counting.
+//! Ablation: O(n²) reference vs the O(n log n · log H) sweep violation-pair
+//! counter (compressed 2D Fenwick tree, H distinct heights).
 
 use cn_chain::FeeRate;
 use cn_core::pairs::{count_violations_cdq, count_violations_reference, PairObservation};
@@ -26,7 +27,7 @@ fn bench_pairs(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reference_quadratic", n), &obs, |b, obs| {
             b.iter(|| black_box(count_violations_reference(black_box(obs), 10)))
         });
-        group.bench_with_input(BenchmarkId::new("cdq", n), &obs, |b, obs| {
+        group.bench_with_input(BenchmarkId::new("sweep", n), &obs, |b, obs| {
             b.iter(|| black_box(count_violations_cdq(black_box(obs), 10)))
         });
     }

@@ -32,11 +32,18 @@
 //! times, per-experiment times, and total wall time — the perf trajectory
 //! every future change is measured against.
 //!
-//! Output is printed and mirrored to `results/<id>.txt`. With `--verify`,
-//! each freshly generated report is first compared byte-for-byte against
-//! the checked-in `results/<id>.txt`; any mismatch fails the run (exit 3)
-//! after all experiments finish, making golden drift visible in CI before
-//! the files are refreshed.
+//! Output is printed and mirrored to `results/<id>.txt`, each file
+//! written to a temporary name and renamed into place so a failed run
+//! never leaves a torn golden. With `--verify`, each freshly generated
+//! report is instead compared byte-for-byte against the checked-in
+//! `results/<id>.txt`, which is left untouched; any mismatch fails the
+//! run (exit 3) after all experiments finish, making golden drift visible
+//! in CI.
+//!
+//! Exit status: 0 on success, 1 when a result or `BENCH_pipeline.json`
+//! could not be written, 2 for a rejected command line (unknown flag or
+//! experiment id; checked before any work, so nothing is written), 3 for
+//! golden drift under `--verify`.
 
 use cn_bench::exp_streaming::peak_rss_kb;
 use cn_bench::{run_experiment, Lab, MegasimTier, StreamingBench, ALL_IDS, DATASET_NAMES};
@@ -84,9 +91,32 @@ fn checked_in_baseline_secs() -> Option<f64> {
 
 /// One experiment's outcome, produced by a worker thread.
 struct Slot {
-    /// `None` for an unknown id.
-    report: Option<String>,
+    report: String,
     elapsed: Duration,
+}
+
+/// Runs one experiment whose id was checked against [`ALL_IDS`].
+fn run_slot(id: &str, lab: &Lab) -> Slot {
+    let started = Instant::now();
+    let report = run_experiment(id, lab).expect("ids are checked against ALL_IDS before the run");
+    Slot { report, elapsed: started.elapsed() }
+}
+
+/// Writes `bytes` to `path` through a temporary sibling file and a rename,
+/// so readers see either the old file or the complete new one.
+fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp.{}", std::process::id());
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()
+    });
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
 }
 
 fn main() {
@@ -131,13 +161,22 @@ fn main() {
         }
         i += 1;
     }
+    let unknown: Vec<&String> =
+        ids.iter().filter(|id| *id != "all" && !ALL_IDS.contains(&id.as_str())).collect();
+    if !unknown.is_empty() {
+        for id in unknown {
+            eprintln!("unknown experiment id: {id} (use --list)");
+        }
+        std::process::exit(2);
+    }
     if stream {
         let lab = Lab::new(scale);
         let wall_started = Instant::now();
         run_stream_service(&lab);
         let total_wall = wall_started.elapsed().as_secs_f64();
         if let Err(e) = write_bench_json(&lab, scale, "stream", 1, 1, &[], total_wall) {
-            eprintln!("warning: could not write BENCH_pipeline.json: {e}");
+            eprintln!("error: could not write BENCH_pipeline.json: {e}");
+            std::process::exit(1);
         }
         return;
     }
@@ -146,7 +185,12 @@ fn main() {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
     let lab = Lab::new(scale);
-    let _ = std::fs::create_dir_all("results");
+    if !verify {
+        if let Err(e) = std::fs::create_dir_all("results") {
+            eprintln!("error: could not create results/: {e}");
+            std::process::exit(1);
+        }
+    }
 
     let wall_started = Instant::now();
     // Detected once, recorded in BENCH_pipeline.json next to the count
@@ -175,16 +219,21 @@ fn main() {
     }
     let workers = if serial { 1 } else { detected.min(ids.len()).max(1) };
 
-    let mut failed = false;
+    let mut write_failed = false;
     let mut verify_failures: Vec<String> = Vec::new();
     let mut experiment_secs: Vec<(String, f64)> = Vec::with_capacity(ids.len());
     if serial {
         // In-thread loop: same ids, same order, same bytes as the pool.
         for id in &ids {
-            let started = Instant::now();
-            let report = run_experiment(id, &lab);
-            let slot = Slot { report, elapsed: started.elapsed() };
-            emit_report(id, slot, verify, &mut failed, &mut verify_failures, &mut experiment_secs);
+            let slot = run_slot(id, &lab);
+            emit_report(
+                id,
+                slot,
+                verify,
+                &mut write_failed,
+                &mut verify_failures,
+                &mut experiment_secs,
+            );
         }
     } else {
         // Worker pool with order-preserving output: workers claim ids
@@ -201,9 +250,7 @@ fn main() {
                     if i >= ids.len() {
                         break;
                     }
-                    let started = Instant::now();
-                    let report = run_experiment(&ids[i], &lab);
-                    let slot = Slot { report, elapsed: started.elapsed() };
+                    let slot = run_slot(&ids[i], &lab);
                     let mut guard = slots.lock().expect("slot mutex");
                     guard[i] = Some(slot);
                     ready.notify_all();
@@ -223,7 +270,7 @@ fn main() {
                     id,
                     slot,
                     verify,
-                    &mut failed,
+                    &mut write_failed,
                     &mut verify_failures,
                     &mut experiment_secs,
                 );
@@ -235,10 +282,11 @@ fn main() {
     if let Err(e) =
         write_bench_json(&lab, scale, mode, detected, workers, &experiment_secs, total_wall)
     {
-        eprintln!("warning: could not write BENCH_pipeline.json: {e}");
+        eprintln!("error: could not write BENCH_pipeline.json: {e}");
+        write_failed = true;
     }
-    if failed {
-        std::process::exit(2);
+    if write_failed {
+        std::process::exit(1);
     }
     if !verify_failures.is_empty() {
         eprintln!("verify: {} experiment(s) drifted from results/: {}", verify_failures.len(), verify_failures.join(" "));
@@ -246,47 +294,38 @@ fn main() {
     }
 }
 
-/// Prints one finished experiment, mirrors it to `results/<id>.txt`, and —
-/// under `--verify` — diffs it against the previously checked-in bytes
-/// first, so golden drift is detected before the file is refreshed.
+/// Prints one finished experiment, then either mirrors it to
+/// `results/<id>.txt` or, under `--verify`, compares it against the
+/// checked-in bytes there and leaves them untouched.
 fn emit_report(
     id: &str,
     slot: Slot,
     verify: bool,
-    failed: &mut bool,
+    write_failed: &mut bool,
     verify_failures: &mut Vec<String>,
     experiment_secs: &mut Vec<(String, f64)>,
 ) {
-    match slot.report {
-        Some(report) => {
-            println!("==================== {id} ====================");
-            println!("{report}");
-            println!("[{id} took {:.1?}]", slot.elapsed);
-            experiment_secs.push((id.to_string(), slot.elapsed.as_secs_f64()));
-            if verify {
-                match std::fs::read_to_string(format!("results/{id}.txt")) {
-                    Ok(golden) if golden == report => {}
-                    Ok(_) => {
-                        eprintln!("verify: {id} output differs from checked-in results/{id}.txt");
-                        verify_failures.push(id.to_string());
-                    }
-                    Err(e) => {
-                        eprintln!("verify: could not read results/{id}.txt: {e}");
-                        verify_failures.push(id.to_string());
-                    }
-                }
+    let Slot { report, elapsed } = slot;
+    println!("==================== {id} ====================");
+    println!("{report}");
+    println!("[{id} took {elapsed:.1?}]");
+    experiment_secs.push((id.to_string(), elapsed.as_secs_f64()));
+    let path = format!("results/{id}.txt");
+    if verify {
+        match std::fs::read_to_string(&path) {
+            Ok(golden) if golden == report => {}
+            Ok(_) => {
+                eprintln!("verify: {id} output differs from checked-in {path}");
+                verify_failures.push(id.to_string());
             }
-            match std::fs::File::create(format!("results/{id}.txt")) {
-                Ok(mut f) => {
-                    let _ = f.write_all(report.as_bytes());
-                }
-                Err(e) => eprintln!("warning: could not write results/{id}.txt: {e}"),
+            Err(e) => {
+                eprintln!("verify: could not read {path}: {e}");
+                verify_failures.push(id.to_string());
             }
         }
-        None => {
-            eprintln!("unknown experiment id: {id} (use --list)");
-            *failed = true;
-        }
+    } else if let Err(e) = write_atomic(&path, report.as_bytes()) {
+        eprintln!("error: could not write {path}: {e}");
+        *write_failed = true;
     }
 }
 
@@ -592,5 +631,5 @@ fn write_bench_json(
         }
     }
     json.push_str("}\n");
-    std::fs::write("BENCH_pipeline.json", json)
+    write_atomic("BENCH_pipeline.json", json.as_bytes())
 }

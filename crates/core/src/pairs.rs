@@ -13,10 +13,14 @@
 //! absorbs divergence between the observer's arrival order and the
 //! miners'.
 //!
-//! Counting is a 3-dimensional dominance problem; this module provides an
-//! `O(n²)` reference and an `O(n log² n)` offline divide-and-conquer
-//! (CDQ) counter over a Fenwick tree, plus the candidate-pair count
-//! (pairs where the norm makes a prediction at all) for normalization.
+//! Counting is a 3-dimensional dominance problem. This module provides an
+//! `O(n²)` reference (the test oracle) and one production counter,
+//! [`count_violations_cdq`]: a time-ordered sweep over a compressed 2D
+//! Fenwick tree (height × fee), `O(n log n · log H)` time and
+//! `O(n log H)` memory for `H` distinct confirmation heights. It also
+//! returns the candidate-pair count (pairs where the norm makes a
+//! prediction at all) for normalization. The function keeps the name of
+//! the CDQ divide-and-conquer counter it replaced, for its callers.
 
 use crate::error::AuditError;
 use cn_chain::{FeeRate, Timestamp};
@@ -79,7 +83,7 @@ impl PairStats {
 }
 
 /// Quadratic reference implementation (kept as the oracle for property
-/// tests and as the ablation baseline for the CDQ counter).
+/// tests and as the ablation baseline for the sweep counter).
 pub fn count_violations_reference(obs: &[PairObservation], epsilon: u64) -> PairStats {
     let n = obs.len() as u64;
     let mut stats = PairStats { total_pairs: n * n.saturating_sub(1) / 2, ..PairStats::default() };
@@ -96,134 +100,138 @@ pub fn count_violations_reference(obs: &[PairObservation], epsilon: u64) -> Pair
     stats
 }
 
-/// A Fenwick (binary indexed) tree over counts.
-#[derive(Clone, Debug)]
-struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    fn new(n: usize) -> Fenwick {
-        Fenwick { tree: vec![0; n + 1] }
-    }
-
-    /// Adds `delta` at 1-based index `i`.
-    fn add(&mut self, mut i: usize, delta: i64) {
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u64);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of indices `1..=i`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        let mut acc = 0u64;
-        while i > 0 {
-            acc = acc.wrapping_add(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        acc
+/// Fenwick (binary indexed) tree add of 1 at 1-based position `p`; the tree
+/// is the slice itself, position `p` stored at index `p - 1`.
+fn fenwick_add(tree: &mut [u32], mut p: usize) {
+    while p <= tree.len() {
+        tree[p - 1] += 1;
+        p += p & p.wrapping_neg();
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Op {
-    /// Event time: `t + ε` for inserts, `t` for queries.
-    time: u64,
-    /// Queries sort before inserts at equal time (strict `<` semantics).
-    is_insert: bool,
-    fee: FeeRate,
-    /// 1-based compressed height rank.
-    height_rank: usize,
+/// Fenwick prefix sum over positions `1..=p`.
+fn fenwick_prefix(tree: &[u32], mut p: usize) -> u64 {
+    let mut acc = 0u64;
+    while p > 0 {
+        acc += u64::from(tree[p - 1]);
+        p -= p & p.wrapping_neg();
+    }
+    acc
 }
 
-/// `O(n log² n)` divide-and-conquer violation counter.
+/// Outer-tree nodes an insert at 1-based `slot` updates, in path order.
+fn insert_path(slot: usize, len: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(slot), |&k| Some(k + (k & k.wrapping_neg())))
+        .take_while(move |&k| k <= len)
+}
+
+/// Outer-tree nodes whose ranges tile slots `1..=slot`, in path order.
+fn query_path(slot: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(slot), |&k| Some(k - (k & k.wrapping_neg()))).take_while(|&k| k > 0)
+}
+
+/// Exact violation counter: one time-ordered sweep over a compressed 2D
+/// Fenwick tree, `O(n log n · log H)` time and `O(n log H)` memory for `H`
+/// distinct heights.
 ///
-/// The operation sequence interleaves *inserts* (transaction `i` becomes
-/// ε-eligible at `t_i + ε`) and *queries* (transaction `j` at `t_j` asks
-/// how many eligible transactions dominate it in fee and height). The
-/// recursion counts, for each query in the right half, the dominating
-/// inserts in the left half via a fee-ordered sweep over a Fenwick tree
-/// keyed by height rank.
+/// Rows are sorted by first-seen time once. Row `i` becomes ε-eligible at
+/// `t_i + ε` (saturating), which is monotone in `t_i`, so a two-pointer
+/// walk over the same order inserts every `i` with `t_i + ε < t_j` before
+/// row `j` queries. `candidates` counts the inserted rows with a higher fee
+/// through a 1D Fenwick tree over fee rank. `violating` also asks for a
+/// higher confirmation height: the outer Fenwick tree is keyed by height
+/// rank (tallest first), and each outer node holds an inner Fenwick tree
+/// over the fee ranks of only the rows whose inserts reach that node, so
+/// the inner trees total `O(n log H)` counters, never `H × F`. Every inner
+/// insert and query position is fixed in one fee-ordered pass before the
+/// sweep, which therefore does no search.
+///
+/// The name predates the sweep (it replaced a CDQ divide-and-conquer
+/// counter) and is kept for its callers.
 pub fn count_violations_cdq(obs: &[PairObservation], epsilon: u64) -> PairStats {
-    let n = obs.len() as u64;
-    let total_pairs = n * n.saturating_sub(1) / 2;
-    if obs.len() < 2 {
+    let n = obs.len();
+    let total_pairs = n as u64 * (n as u64).saturating_sub(1) / 2;
+    if n < 2 {
         return PairStats { total_pairs, ..PairStats::default() };
     }
-    // Compress heights to ranks 1..=k.
-    let mut heights: Vec<u64> = obs.iter().map(|o| o.height).collect();
+    assert!(u32::try_from(n).is_ok(), "pair counting indexes rows with u32 ranks");
+    let mut rows = obs.to_vec();
+    rows.sort_unstable_by_key(|o| o.received);
+
+    // Height slots 1..=h, tallest first: `b_i > b_j` iff `slot_i < slot_j`.
+    let mut heights: Vec<u64> = rows.iter().map(|o| o.height).collect();
     heights.sort_unstable();
     heights.dedup();
-    let rank = |h: u64| heights.partition_point(|&x| x < h) + 1; // 1-based
+    let h = heights.len();
+    let slot: Vec<usize> =
+        rows.iter().map(|o| h - heights.partition_point(|&x| x < o.height)).collect();
+    // Longest insert or query path: the bit length of `h`.
+    let stride = (usize::BITS - h.leading_zeros()) as usize;
 
-    let mut ops: Vec<Op> = Vec::with_capacity(obs.len() * 2);
-    for o in obs {
-        ops.push(Op {
-            time: o.received.saturating_add(epsilon),
-            is_insert: true,
-            fee: o.fee_rate,
-            height_rank: rank(o.height),
-        });
-        ops.push(Op { time: o.received, is_insert: false, fee: o.fee_rate, height_rank: rank(o.height) });
+    // Outer node `k`'s inner tree is `tree[start[k]..start[k + 1]]`, one
+    // counter per row whose insert path reaches `k`.
+    let mut start = vec![0usize; h + 2];
+    for &s in &slot {
+        for k in insert_path(s, h) {
+            start[k + 1] += 1;
+        }
     }
-    // Queries first at equal time: `t_i + ε < t_j` is strict.
-    ops.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.is_insert.cmp(&b.is_insert)));
-
-    let mut fenwick = Fenwick::new(heights.len());
-    let mut violating = 0u64;
-    let mut candidates = 0u64;
-    cdq(&mut ops, &mut fenwick, &mut violating, &mut candidates);
-    PairStats { violating, candidates, total_pairs }
-}
-
-/// Counts cross-half dominances and recurses. `ops` is ordered by
-/// sequence time on entry and by fee (descending) on exit — the classic
-/// CDQ merge-sort structure.
-fn cdq(ops: &mut [Op], fenwick: &mut Fenwick, violating: &mut u64, candidates: &mut u64) {
-    if ops.len() <= 1 {
-        return;
+    for k in 1..=h {
+        start[k + 1] += start[k];
     }
-    let mid = ops.len() / 2;
-    let (left, right) = ops.split_at_mut(mid);
-    cdq(left, fenwick, violating, candidates);
-    cdq(right, fenwick, violating, candidates);
-    // Both halves are now sorted by fee descending. Sweep: for each query
-    // in the right half (in fee-descending order), first add all left
-    // inserts with strictly greater fee, then count height dominators.
-    let mut li = 0usize;
-    let mut added = 0u64;
-    for q in right.iter().filter(|o| !o.is_insert) {
-        while li < left.len() && left[li].fee > q.fee {
-            if left[li].is_insert {
-                fenwick.add(left[li].height_rank, 1);
-                added += 1;
+
+    // Fee-descending pass, one group of equal fees at a time. A group's
+    // queries read each node's fill before the group's own inserts, so
+    // they count strictly higher fees only.
+    let mut by_fee: Vec<usize> = (0..n).collect();
+    by_fee.sort_unstable_by_key(|&r| std::cmp::Reverse(rows[r].fee_rate));
+    let mut fill = vec![0u32; h + 1];
+    let mut fee_rank = vec![0usize; n];
+    let mut higher_fees = vec![0usize; n];
+    let mut insert_at = vec![0u32; n * stride];
+    let mut query_at = vec![0u32; n * stride];
+    let mut placed = 0usize;
+    for group in by_fee.chunk_by(|&a, &b| rows[a].fee_rate == rows[b].fee_rate) {
+        for &r in group {
+            higher_fees[r] = placed;
+            for (step, k) in query_path(slot[r] - 1).enumerate() {
+                query_at[r * stride + step] = fill[k];
             }
-            li += 1;
         }
-        *candidates += added;
-        *violating += added - fenwick.prefix(q.height_rank);
-    }
-    // Roll back the Fenwick for the parent call.
-    for op in left[..li].iter().filter(|o| o.is_insert) {
-        fenwick.add(op.height_rank, -1);
-    }
-    // Merge the halves by fee descending (manual merge keeps O(n log n)
-    // overall sort cost across the recursion).
-    let mut merged = Vec::with_capacity(left.len() + right.len());
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < left.len() && b < right.len() {
-        if left[a].fee >= right[b].fee {
-            merged.push(left[a]);
-            a += 1;
-        } else {
-            merged.push(right[b]);
-            b += 1;
+        for &r in group {
+            placed += 1;
+            fee_rank[r] = placed;
+            for (step, k) in insert_path(slot[r], h).enumerate() {
+                fill[k] += 1;
+                insert_at[r * stride + step] = fill[k];
+            }
         }
     }
-    merged.extend_from_slice(&left[a..]);
-    merged.extend_from_slice(&right[b..]);
-    ops.copy_from_slice(&merged);
+
+    let mut by_fee_rank = vec![0u32; n];
+    let mut tree = vec![0u32; start[h + 1]];
+    let (mut inserted, mut candidates, mut violating) = (0usize, 0u64, 0u64);
+    for j in 0..n {
+        // `t_i + ε < t_j` implies `t_i < t_j`, so `inserted` never passes `j`.
+        while rows[inserted].received.saturating_add(epsilon) < rows[j].received {
+            let i = inserted;
+            fenwick_add(&mut by_fee_rank, fee_rank[i]);
+            for (step, k) in insert_path(slot[i], h).enumerate() {
+                let p = insert_at[i * stride + step] as usize;
+                fenwick_add(&mut tree[start[k]..start[k + 1]], p);
+            }
+            inserted += 1;
+        }
+        if inserted == 0 {
+            continue;
+        }
+        candidates += fenwick_prefix(&by_fee_rank, higher_fees[j]);
+        for (step, k) in query_path(slot[j] - 1).enumerate() {
+            let p = query_at[j * stride + step] as usize;
+            violating += fenwick_prefix(&tree[start[k]..start[k + 1]], p);
+        }
+    }
+    PairStats { violating, candidates, total_pairs }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,20 +333,20 @@ fn dominant_merge(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
     if x.is_empty() || y.is_empty() {
         return 0;
     }
-    let mut fenwick = Fenwick::new(x.len());
+    let mut fenwick = vec![0u32; x.len()];
     let mut xi = 0usize;
     let mut added = 0u64;
     let mut count = 0u64;
     for (&y_recv, &y_fee) in y.recv.iter().zip(&y.fee_by_recv) {
         while xi < x.len() && x.recv[xi].saturating_add(epsilon) < y_recv {
-            fenwick.add(x.fee_slot_by_recv[xi] as usize + 1, 1);
+            fenwick_add(&mut fenwick, x.fee_slot_by_recv[xi] as usize + 1);
             added += 1;
             xi += 1;
         }
         if added > 0 {
             // Rows with fee <= y_fee occupy exactly the first `le` fee slots.
             let le = x.fees_asc.partition_point(|&f| f <= y_fee);
-            count += added - fenwick.prefix(le);
+            count += added - fenwick_prefix(&fenwick, le);
         }
     }
     count
@@ -535,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn cdq_matches_reference_on_pseudorandom_data() {
+    fn sweep_matches_reference_on_pseudorandom_data() {
         // Deterministic pseudo-random stream via a simple LCG.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = || {
@@ -548,14 +556,13 @@ mod tests {
                 .collect();
             for eps in [0u64, 5, 50] {
                 let reference = count_violations_reference(&data, eps);
-                let cdq = count_violations_cdq(&data, eps);
-                assert_eq!(cdq, reference, "n={n} eps={eps}");
+                assert_eq!(count_violations_cdq(&data, eps), reference, "n={n} eps={eps}");
             }
         }
     }
 
     #[test]
-    fn cdq_matches_reference_under_adversarial_ties() {
+    fn sweep_matches_reference_under_adversarial_ties() {
         // Tiny value domains make exact ties the rule, not the exception:
         // with times drawn from {0, ε, 2ε, …}, fees from three values, and
         // heights from two, almost every pair sits on a tie or exactly on
@@ -587,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn cdq_matches_reference_with_epsilon_at_every_gap() {
+    fn sweep_matches_reference_with_epsilon_at_every_gap() {
         // For a fixed pseudo-random set, sweep ε across every pairwise
         // time gap and its ±1 neighbours, so each pair in turn flips from
         // decided to undecided exactly at the strict boundary.
@@ -617,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn cdq_handles_epsilon_saturation() {
+    fn sweep_handles_epsilon_saturation() {
         // `t + ε` saturates instead of wrapping: with ε = u64::MAX no pair
         // can satisfy the strict inequality, however the times tie.
         let data =
@@ -627,6 +634,27 @@ mod tests {
             assert_eq!(count_violations_cdq(&data, eps), reference, "eps={eps}");
         }
         assert_eq!(count_violations_cdq(&data, u64::MAX).violating, 0);
+    }
+
+    #[test]
+    fn sweep_matches_reference_with_distinct_heights_and_fees() {
+        // H = F = n: every row has its own height and fee. A dense H × F
+        // counter table would need n² = 10⁸ cells here; the compressed
+        // tree needs O(n log H).
+        let n = 10_000u64;
+        let mut state = 0x6a09_e667_f3bc_c909u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // Fees and heights are two different permutations of 0..n.
+        let data: Vec<PairObservation> = (0..n)
+            .map(|i| obs(next() % 50_000, (i * 7_919) % n, (i * 104_729 + 17) % n))
+            .collect();
+        for eps in [0u64, 600] {
+            let reference = count_violations_reference(&data, eps);
+            assert_eq!(count_violations_cdq(&data, eps), reference, "eps={eps}");
+        }
     }
 
     #[test]

@@ -54,21 +54,35 @@ proptest! {
     }
 
     #[test]
-    fn cdq_equals_reference(
-        raw in proptest::collection::vec((0u64..2_000, 0u64..100_000, 0u64..60), 0..120),
+    fn violations_equal_reference(
+        raw in proptest::collection::vec((0u64..2_000, 0u64..100_000, 0u64..1 << 20), 0..120),
         epsilon in 0u64..50,
+        // Heights take 2^height_bits values, so the number of distinct
+        // heights runs from 1 up to (almost surely, at 2^19) n.
+        height_bits in 0u32..20,
+        // Times on the ε lattice and four fee levels: most pairs then tie
+        // on fee or sit exactly on the strict `t_i + ε < t_j` boundary.
+        tie_lattice in any::<bool>(),
     ) {
         let obs: Vec<PairObservation> = raw
             .into_iter()
-            .map(|(t, rate, h)| PairObservation {
-                received: t,
-                fee_rate: FeeRate::from_sat_per_kvb(rate),
-                height: h,
+            .map(|(t, rate, h)| {
+                let (t, rate) = if tie_lattice {
+                    ((t % 6) * epsilon.max(1), 1_000 * (rate % 4))
+                } else {
+                    (t, rate)
+                };
+                PairObservation {
+                    received: t,
+                    fee_rate: FeeRate::from_sat_per_kvb(rate),
+                    height: h % (1 << height_bits),
+                }
             })
             .collect();
-        let reference = count_violations_reference(&obs, epsilon);
-        let cdq = count_violations_cdq(&obs, epsilon);
-        prop_assert_eq!(cdq, reference);
+        prop_assert_eq!(
+            count_violations_cdq(&obs, epsilon),
+            count_violations_reference(&obs, epsilon)
+        );
     }
 
     #[test]
