@@ -21,16 +21,14 @@
 //! on-demand verdict at the end, then records ingestion throughput and
 //! peak-RSS counters into `BENCH_pipeline.json`.
 //!
-//! Experiments run on a worker pool (one thread per available core, capped
-//! at the number of ids); output is buffered per experiment and printed in
+//! Experiments run on a `cn_stats::Pool` (one worker per available core,
+//! capped at the number of ids; `--serial` or a one-core box use the
+//! plain in-thread loop); output is buffered per experiment and printed in
 //! presentation order, so parallel runs are byte-identical to `--serial`
-//! runs modulo the wall-clock figures in `[... took ...]` lines. On a box
-//! with fewer than two workers the pool is skipped entirely — a plain
-//! in-thread loop produces the same bytes without paying for the queue and
-//! condvar machinery; `BENCH_pipeline.json` records which mode ran. Each
-//! run also writes `BENCH_pipeline.json` with per-dataset simulation
-//! times, per-experiment times, and total wall time — the perf trajectory
-//! every future change is measured against.
+//! runs modulo the wall-clock figures in `[... took ...]` lines. Each run
+//! also writes `BENCH_pipeline.json` with the mode that ran, per-dataset
+//! simulation times, per-experiment times, and total wall time — the perf
+//! trajectory every future change is measured against.
 //!
 //! Output is printed and mirrored to `results/<id>.txt`, each file
 //! written to a temporary name and renamed into place so a failed run
@@ -50,33 +48,17 @@ use cn_bench::{run_experiment, Lab, MegasimTier, StreamingBench, ALL_IDS, DATASE
 use cn_data::Scale;
 use cn_core::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
 use cn_core::StreamExpectation;
+use cn_stats::Pool;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Serial wall time of `experiments --quick all` on the reference machine,
-/// taken as the minimum of three `--serial` runs (the least contaminated
-/// figure on a noisy box). Re-measured after each hot-path overhaul so the
-/// recorded speedup compares against the *current* serial engine, not a
-/// stale one (the pre-overhaul origin was 49.029 s; earlier refreshes read
-/// 17.1 s before the hardware-hash and scheduler work landed, then
-/// 13.182 s before the incremental-assembly and fork-and-replay work —
-/// though the box itself had also drifted ~20 % slower by the time of that
-/// reading, so the true engine delta is larger than the two figures
-/// suggest). The 32.704 s figure reflected the observer-fleet growth
-/// (23rd experiment plus per-observer bookkeeping); 37.906 s added the
-/// 24th (`streaming`: seven full event-stream replays per dataset). The
-/// 27.332 s figure was a genuine engine win at unchanged workload: the
-/// streaming auditor's cross-block pair scans moved from per-pair probing
-/// to sorted-merge/bitset kernels, and issuance moved to pre-generated
-/// per-transaction draw records (the fork-join layer's serial path). The
-/// current figure (minimum of five runs) is the admission/eviction drain:
-/// relay-shared admission prechecks, batched same-timestamp delivery
-/// admission, parallel per-pool block ticks, and the mempool
-/// index-maintenance diet (weight multiset and fee-rate set deleted,
-/// fixed-point ancestor-rate prefix, seeded-cursor rebuilds).
+/// Serial wall time of `experiments --quick all` on the reference machine:
+/// the minimum of five `CN_WORKERS=1 ... --serial` runs (the least
+/// contaminated figure on a noisy box). Re-measured when the suite gains
+/// workload and after each hot-path change, so the recorded speedup
+/// compares against the *current* serial engine; a hot-path change only
+/// ever tightens it.
 const SERIAL_BASELINE_QUICK_ALL_SECS: f64 = 24.187;
 
 /// Checked-in wall-time anchor CI gates against (`ci/bench_baseline_wall_seconds.txt`).
@@ -89,7 +71,7 @@ fn checked_in_baseline_secs() -> Option<f64> {
         .filter(|b| *b > 0.0)
 }
 
-/// One experiment's outcome, produced by a worker thread.
+/// One experiment's outcome, produced by a pool worker.
 struct Slot {
     report: String,
     elapsed: Duration,
@@ -197,11 +179,11 @@ fn main() {
     // actually used — a 1-worker record on a 16-core box is a probe bug,
     // not a measurement.
     let detected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Adaptive pool: with fewer than two workers the pool's shared
-    // counter, slot mutex, and condvar buy nothing, so fall back to the
-    // plain loop a `--serial` run uses. The JSON records "serial-auto" so
-    // a trajectory reader can tell a constrained box from a deliberate
-    // serial measurement.
+    // With fewer than two cores the pool runs the plain loop a `--serial`
+    // run uses. The JSON records "serial-auto" so a trajectory reader can
+    // tell a constrained box from a deliberate serial measurement. The
+    // width comes from the detected cores, not `CN_WORKERS`, so a forced
+    // wide run does not put sixteen experiments on two cores.
     let auto_serial = !serial_flag && detected < 2;
     let serial = serial_flag || auto_serial;
     let mode = if serial_flag {
@@ -217,70 +199,21 @@ fn main() {
     if run_all && !serial {
         lab.prewarm();
     }
-    let workers = if serial { 1 } else { detected.min(ids.len()).max(1) };
+    let pool = if serial { Pool::serial() } else { Pool::with_workers(detected.min(ids.len())) };
 
+    // Reports come back in presentation order, so stdout matches a
+    // serial run.
+    let slots = pool.map(&ids, |id| run_slot(id, &lab));
     let mut write_failed = false;
     let mut verify_failures: Vec<String> = Vec::new();
     let mut experiment_secs: Vec<(String, f64)> = Vec::with_capacity(ids.len());
-    if serial {
-        // In-thread loop: same ids, same order, same bytes as the pool.
-        for id in &ids {
-            let slot = run_slot(id, &lab);
-            emit_report(
-                id,
-                slot,
-                verify,
-                &mut write_failed,
-                &mut verify_failures,
-                &mut experiment_secs,
-            );
-        }
-    } else {
-        // Worker pool with order-preserving output: workers claim ids
-        // from a shared counter and park finished reports in `slots`; the
-        // main thread prints slot i only after slots 0..i, so stdout
-        // matches a serial run.
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..ids.len()).map(|_| None).collect());
-        let ready = Condvar::new();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ids.len() {
-                        break;
-                    }
-                    let slot = run_slot(&ids[i], &lab);
-                    let mut guard = slots.lock().expect("slot mutex");
-                    guard[i] = Some(slot);
-                    ready.notify_all();
-                });
-            }
-            for (i, id) in ids.iter().enumerate() {
-                let slot = {
-                    let mut guard = slots.lock().expect("slot mutex");
-                    loop {
-                        if let Some(slot) = guard[i].take() {
-                            break slot;
-                        }
-                        guard = ready.wait(guard).expect("slot mutex");
-                    }
-                };
-                emit_report(
-                    id,
-                    slot,
-                    verify,
-                    &mut write_failed,
-                    &mut verify_failures,
-                    &mut experiment_secs,
-                );
-            }
-        });
+    for (id, slot) in ids.iter().zip(slots) {
+        emit_report(id, slot, verify, &mut write_failed, &mut verify_failures, &mut experiment_secs);
     }
 
     let total_wall = wall_started.elapsed().as_secs_f64();
     if let Err(e) =
-        write_bench_json(&lab, scale, mode, detected, workers, &experiment_secs, total_wall)
+        write_bench_json(&lab, scale, mode, detected, pool.workers(), &experiment_secs, total_wall)
     {
         eprintln!("error: could not write BENCH_pipeline.json: {e}");
         write_failed = true;
@@ -396,7 +329,13 @@ fn write_bench_json(
 ) -> std::io::Result<()> {
     let mut json = String::new();
     json.push_str("{\n");
-    // Schema 7: adds the `megasim` block (the scale tier's per-tier
+    // Schema 8: drops the intra-simulation fork-join accounting (the
+    // simulator is single-threaded): the `sim_workers` key, the
+    // `pregen_shards` block, and the `delivery_batches` /
+    // `batched_deliveries` counters. `max_delivery_batch` is now the
+    // longest same-timestamp run of deliveries, and `pregen` the seconds
+    // spent drawing per-transaction records.
+    // Schema 7 added the `megasim` block (the scale tier's per-tier
     // simulate→log→replay counters, throughput, and `VmHWM` after replay
     // — what the CI flat-RSS ceiling gates on) and the "large" scale.
     // Schema 6 split the `mempool` subsystem-seconds slot into
@@ -414,7 +353,7 @@ fn write_bench_json(
     // the tri-state mode (serial/serial-auto/parallel). Bump on any key
     // change so trajectory tooling can tell versions apart without
     // sniffing.
-    json.push_str("  \"schema\": 7,\n");
+    json.push_str("  \"schema\": 8,\n");
     let scale_name = match scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
@@ -424,11 +363,6 @@ fn write_bench_json(
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"workers_detected\": {workers_detected},");
     let _ = writeln!(json, "  \"workers_used\": {workers_used},");
-    // The fork-join width *inside* each simulation (workload
-    // pre-generation; also what the streaming auditor and reconciler
-    // default to). Honors CN_WORKERS, so the CI dual-run gate's forced
-    // widths are visible in the artifact it checks.
-    let _ = writeln!(json, "  \"sim_workers\": {},", cn_stats::Pool::auto().workers());
     json.push_str("  \"dataset_sim_seconds\": {\n");
     let sim = lab.sim_seconds();
     for (i, name) in DATASET_NAMES.iter().enumerate() {
@@ -485,8 +419,6 @@ fn write_bench_json(
                     "      \"admission_precheck_hits\": {},",
                     p.admission_precheck_hits
                 );
-                let _ = writeln!(json, "      \"delivery_batches\": {},", p.delivery_batches);
-                let _ = writeln!(json, "      \"batched_deliveries\": {},", p.batched_deliveries);
                 let _ = writeln!(json, "      \"max_delivery_batch\": {},", p.max_delivery_batch);
                 let _ = writeln!(json, "      \"subsystem_seconds\": {{");
                 let _ = writeln!(json, "        \"issue\": {:.3},", p.issue);
@@ -498,14 +430,6 @@ fn write_bench_json(
                 let _ = writeln!(json, "        \"snapshot\": {:.3},", p.snapshot);
                 let _ = writeln!(json, "        \"fleet\": {:.3},", p.fleet);
                 let _ = writeln!(json, "        \"pregen\": {:.3}", p.pregen);
-                let _ = writeln!(json, "      }},");
-                let _ = writeln!(json, "      \"pregen_shards\": {{");
-                let _ = writeln!(json, "        \"batches\": {},", p.pregen_batches);
-                let _ = writeln!(json, "        \"items\": {},", p.pregen_items);
-                let _ = writeln!(json, "        \"items_per_worker\": {:?},", p.pregen_shard_items);
-                let secs: Vec<String> =
-                    p.pregen_shard_seconds.iter().map(|s| format!("{s:.3}")).collect();
-                let _ = writeln!(json, "        \"seconds_per_worker\": [{}]", secs.join(", "));
                 let _ = writeln!(json, "      }}");
                 let _ = writeln!(json, "    }}{comma}");
             }

@@ -4,7 +4,6 @@ use crate::latency::LatencyModel;
 use crate::topology::Topology;
 use cn_chain::{Amount, Block, Timestamp, Transaction, Txid};
 use cn_mempool::{AcceptError, AdmissionPrecheck, Mempool, MempoolPolicy};
-use cn_stats::Pool;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -279,27 +278,6 @@ impl Network {
         for mempool in self.mempools.values_mut() {
             mempool.apply_block(block);
         }
-    }
-
-    /// Like [`Network::apply_block`], but fans the per-node connects across
-    /// `pool`'s workers. Every stakeholder view connects the same block
-    /// independently (no shared state, no RNG), so the fan-out is
-    /// byte-identical to the serial loop at any worker count.
-    pub fn apply_block_parallel(&mut self, block: &Block, pool: &Pool) {
-        if pool.workers() <= 1 || self.mempools.len() <= 1 {
-            self.apply_block(block);
-            return;
-        }
-        let mut views: Vec<&mut Mempool> = self.mempools.values_mut().collect();
-        pool.for_each_mut(&mut views, |mempool| {
-            mempool.apply_block(block);
-        });
-    }
-
-    /// Disjoint mutable Mempool views for every stakeholder, for batched
-    /// admission fan-outs that partition work by receiving node.
-    pub fn mempools_iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Mempool)> + '_ {
-        self.mempools.iter_mut().map(|(&node, mempool)| (node, mempool))
     }
 }
 

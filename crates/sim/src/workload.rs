@@ -64,15 +64,13 @@ pub enum PaymentTarget {
 }
 
 /// The random draws one payment consumes, separated from their
-/// application so issuance can be sharded across workers.
+/// application.
 ///
 /// Every field is a pure function of the drawing RNG and the fixed wallet
 /// population — nothing here reads the live ledger, the estimator, or the
 /// backlog. [`Workload::build_payment`] then *applies* the draws against
-/// mutable state serially, in event order. That split is what makes
-/// batch-parallel pre-generation byte-identical to the serial loop: draws
-/// for transaction *i* come from its own indexed RNG fork, so neither
-/// batch size nor worker count can change any value.
+/// mutable state, in event order. Draws for transaction *i* come from its
+/// own indexed RNG fork, so they never depend on event history.
 #[derive(Clone, Copy, Debug)]
 pub struct PaymentDraws {
     /// Candidate funding wallets (used when no explicit source is given;
@@ -221,8 +219,9 @@ impl Workload {
     ///
     /// The draws are unconditional: every payment consumes the same number
     /// of samples regardless of how application later branches (source
-    /// exhausted, fee too large, explicit recipient). That fixed shape is
-    /// what keeps per-transaction RNG forks aligned across worker counts.
+    /// exhausted, fee too large, explicit recipient). That fixed shape
+    /// keeps whatever the caller draws after it from the same fork at a
+    /// fixed stream position.
     pub fn draw_payment(&self, rng: &mut SimRng) -> PaymentDraws {
         let mut candidates = [0u32; 8];
         for slot in &mut candidates {
@@ -336,8 +335,8 @@ impl Workload {
         // Consolidation sweep: once the funding wallet's tracked-output
         // list outgrows the threshold, spend extra confirmed outputs
         // alongside the primary source. The trigger and the sweep read
-        // only serial ledger state, never the RNG, so pre-generated draws
-        // stay aligned across worker counts.
+        // only ledger state, never the RNG, so the indexed draws stay
+        // aligned with their transactions.
         let extras = match self.consolidate_above {
             Some(threshold) => {
                 let tracked = self.per_owner.get(&source.owner).map_or(0, Vec::len);

@@ -8,13 +8,13 @@ use crate::scenario::{PoolBehavior, Scenario};
 use crate::truth::{GroundTruth, TxKind};
 use crate::workload::{BuiltTx, PaymentDraws, PaymentTarget, Workload};
 use cn_chain::{Address, Amount, Chain, FastMap, FeeRate, Timestamp, Txid};
-use cn_mempool::{FeeEstimator, Mempool, MempoolPolicy, MempoolSnapshot};
+use cn_mempool::{FeeEstimator, MempoolPolicy, MempoolSnapshot};
 use cn_miner::{
     AccelerationService, AddressAccelerationPolicy, CensorPolicy, CompositePolicy, DarkFeePolicy,
     MinerPolicy, MiningPool,
 };
 use cn_net::{LatencyModel, Network, NodeId, NodeRole, RelayPayload, Topology};
-use cn_stats::{Exponential, LogNormal, Pool, SimRng, WeightedIndex};
+use cn_stats::{Exponential, LogNormal, SimRng, WeightedIndex};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,20 +23,14 @@ use std::time::Instant;
 /// The urgency-quantile menu users draw their fee target from.
 const URGENCY_QUANTILES: [f64; 5] = [0.3, 0.5, 0.7, 0.9, 0.97];
 
-/// How many user-transaction draw records one pre-generation batch holds.
-const PREGEN_BATCH: usize = 1024;
-
-/// Every random value the `index`-th user transaction will consume,
-/// sampled from that transaction's own RNG fork
-/// (`fork_indexed("user-tx", index)`) before the event fires.
+/// Every random value the `index`-th user transaction consumes, sampled
+/// from that transaction's own RNG fork (`fork_indexed("user-tx", index)`)
+/// when it is issued.
 ///
 /// The draws are *unconditional* — flips are stored as raw uniforms and
 /// compared against their probabilities at application time — so the
-/// record's shape never depends on simulation state. That makes the whole
-/// batch a pure function of (seed, index): any number of workers can
-/// produce any slice of it, in any order, and the order-preserving join
-/// hands the serial event loop exactly the values it would have drawn
-/// itself.
+/// record's shape never depends on simulation state: it is a pure
+/// function of (seed, index).
 struct TxDraws {
     /// Uniform for the scam-donation flip.
     scam_u: f64,
@@ -164,17 +158,10 @@ pub struct World {
     /// transaction root so `rng_tx` itself is never advanced — it serves
     /// purely as the base for per-transaction indexed forks.
     rng_arrival: SimRng,
-    /// Pre-generated user-transaction draws, consumed strictly in arrival
-    /// order; refilled a batch at a time by the fork-join pool.
-    pregen: VecDeque<TxDraws>,
-    /// Index of the next user transaction to pre-generate.
-    user_tx_drawn: u64,
-    /// Self-transfers issued so far (indexed-fork input; self-transfers
-    /// are rare, so their draws are taken inline rather than batched).
+    /// User transactions issued so far (indexed-fork input).
+    user_tx_count: u64,
+    /// Self-transfers issued so far (indexed-fork input).
     self_tx_count: u64,
-    /// Fork-join pool for pre-generation batches. Worker count never
-    /// affects output bytes — only wall time.
-    pool: Pool,
     /// Dedicated fault stream; forked unconditionally (forking never
     /// advances the parent) but only drawn from when faults are enabled,
     /// keeping `FaultPlan::none()` runs bit-identical.
@@ -432,10 +419,8 @@ impl WorldCheckpoint {
             scam_address,
             snapshot_counter: 0,
             rng_arrival,
-            pregen: VecDeque::new(),
-            user_tx_drawn: 0,
+            user_tx_count: 0,
             self_tx_count: 0,
-            pool: Pool::auto(),
             rng_fault,
             downtime_ms,
             orphaned_blocks: 0,
@@ -456,17 +441,6 @@ impl World {
     /// Panics when the scenario fails validation.
     pub fn new(scenario: Scenario) -> World {
         WorldCheckpoint::new(&scenario).fork(scenario)
-    }
-
-    /// Overrides the fork-join worker count for pre-generation batches.
-    ///
-    /// Output bytes are identical at any width (the byte-identity property
-    /// tests run the same scenario at 1 and N workers and compare
-    /// everything); this exists so those tests — and the CI dual-run gate
-    /// — can pin widths regardless of the host or `CN_WORKERS`.
-    pub fn with_workers(mut self, workers: usize) -> World {
-        self.pool = Pool::with_workers(workers);
-        self
     }
 
     /// Runs the scenario to completion and returns its artifacts.
@@ -576,26 +550,28 @@ impl World {
                 }
                 Ev::Deliver { node, payload, counted } => {
                     let t = Instant::now();
-                    // Drain the run of deliveries sharing this timestamp.
-                    // The drain stops at the first non-Deliver event so the
-                    // queue's (due, seq) pop order is preserved exactly —
-                    // a same-timestamp MineBlock scheduled between two
-                    // deliveries still fires between them.
-                    let mut batch = vec![(node, payload, counted)];
-                    loop {
-                        match queue.peek() {
-                            Some((due, Ev::Deliver { .. })) if due == now_ms => {}
-                            _ => break,
+                    self.deliver(node, &payload, now_ms, counted);
+                    // Admit the rest of the run of deliveries sharing this
+                    // timestamp under one timer. The drain stops at the
+                    // first non-Deliver event, so the queue's (due, seq)
+                    // pop order is preserved exactly — a same-timestamp
+                    // MineBlock scheduled between two deliveries still
+                    // fires between them.
+                    let mut run = 1u64;
+                    while let Some((due, Ev::Deliver { .. })) = queue.peek() {
+                        if due != now_ms {
+                            break;
                         }
                         let Some((_, Ev::Deliver { node, payload, counted })) = queue.pop()
                         else {
                             unreachable!("peek showed a same-timestamp Deliver");
                         };
-                        self.profile.events_popped += 1;
-                        batch.push((node, payload, counted));
+                        self.deliver(node, &payload, now_ms, counted);
+                        run += 1;
                     }
-                    self.profile.deliveries += batch.len() as u64;
-                    self.deliver_batch(batch, now_ms);
+                    self.profile.events_popped += run - 1;
+                    self.profile.deliveries += run;
+                    self.profile.max_delivery_batch = self.profile.max_delivery_batch.max(run);
                     SimProfile::credit(&mut self.profile.admission, t.elapsed());
                 }
                 Ev::MineBlock => {
@@ -744,8 +720,7 @@ impl World {
     /// the estimator's positive feedback loop (bids quote recent blocks,
     /// which quote bids) is broken by a heavy-tailed per-transaction
     /// willingness-to-pay cap. The random parts live in [`TxDraws`]; the
-    /// state reads happen here, in event order, so pre-generation cannot
-    /// perturb them.
+    /// state reads happen here, in event order.
     fn user_fee_rate(&self, q_idx: usize, noise: f64, wtp: f64) -> FeeRate {
         // Users differ in urgency: quantile of recent block fee rates.
         let q = URGENCY_QUANTILES[q_idx];
@@ -771,16 +746,10 @@ impl World {
     }
 
     /// Samples the full draw record for user transaction `index` from its
-    /// own RNG fork. Pure: reads only the fork base and run constants, so
-    /// any worker can produce any index.
-    fn draw_user_tx(
-        base: &SimRng,
-        workload: &Workload,
-        providers: u64,
-        relays: u64,
-        index: u64,
-    ) -> TxDraws {
-        let mut r = base.fork_indexed("user-tx", index);
+    /// own RNG fork. Pure: reads only the fork base and run constants.
+    fn draw_user_tx(&self, index: u64) -> TxDraws {
+        let providers = self.providers.len() as u64;
+        let mut r = self.rng_tx.fork_indexed("user-tx", index);
         TxDraws {
             scam_u: r.next_f64(),
             accel_u: r.next_f64(),
@@ -789,42 +758,20 @@ impl World {
             noise: LogNormal::new(0.0, 0.35).sample(&mut r),
             wtp: LogNormal::with_median(120_000.0, 1.2).sample(&mut r),
             allow_pending_u: r.next_f64(),
-            payment: workload.draw_payment(&mut r),
+            payment: self.workload.draw_payment(&mut r),
             provider: if providers > 0 { r.next_below(providers) as u32 } else { 0 },
-            origin: r.next_below(relays) as u32,
+            origin: r.next_below(self.relay_count as u64) as u32,
         }
-    }
-
-    /// Refills the pre-generation queue with the next [`PREGEN_BATCH`]
-    /// user-transaction draw records, sharded across the fork-join pool.
-    fn refill_draws(&mut self) {
-        let started = Instant::now();
-        let start = self.user_tx_drawn;
-        let (batch, shards) = {
-            let base = &self.rng_tx;
-            let workload = &self.workload;
-            let providers = self.providers.len() as u64;
-            let relays = self.relay_count as u64;
-            self.pool.build_timed(PREGEN_BATCH, |i| {
-                Self::draw_user_tx(base, workload, providers, relays, start + i as u64)
-            })
-        };
-        self.user_tx_drawn += PREGEN_BATCH as u64;
-        self.pregen.extend(batch);
-        self.profile.note_pregen(&shards);
-        SimProfile::credit(&mut self.profile.pregen, started.elapsed());
     }
 
     fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
-        // Top up the pre-generated draw queue before the issue timer
-        // starts, so batch production is attributed to `pregen`, not
-        // `issue`.
-        if self.pregen.is_empty() {
-            self.refill_draws();
-        }
+        // Drawing the record is timed as `pregen`, the rest as `issue`.
+        let drawn = Instant::now();
+        let draws = self.draw_user_tx(self.user_tx_count);
+        self.user_tx_count += 1;
         let issue_started = Instant::now();
+        SimProfile::credit(&mut self.profile.pregen, issue_started - drawn);
         let now_secs = now_ms / 1_000;
-        let draws = self.pregen.pop_front().expect("refilled above");
         // Scam donation? (The flip's uniform was pre-drawn; the window
         // check reads the clock, which only exists at application time.)
         let is_scam = match &self.scenario.scam {
@@ -894,9 +841,8 @@ impl World {
     fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
         let issue_started = Instant::now();
         let now_secs = now_ms / 1_000;
-        // Self-transfers are orders of magnitude rarer than user traffic,
-        // so their draws come from an inline indexed fork (same
-        // determinism contract as pre-generation, no batching machinery).
+        // Self-transfers draw from their own indexed fork, like user
+        // transactions.
         let mut r = self.rng_tx.fork_indexed("self-tx", self.self_tx_count);
         self.self_tx_count += 1;
         // Indexing after the draw keeps the wallet slice borrow disjoint
@@ -1059,120 +1005,17 @@ impl World {
         SimProfile::credit(slot, relay_started.elapsed());
     }
 
-    /// Admits one drained run of same-timestamp deliveries.
+    /// Admits one delivery into its node's Mempool view and books it.
     ///
-    /// The precheck memo on each payload is populated (or counted as a
-    /// hit) serially first, so the hit counters are width-independent.
-    /// Singleton runs — the overwhelming majority — take the plain serial
-    /// path. Multi-event runs group by receiving node (per-node pop order
-    /// preserved) and fan the disjoint node groups across the fork-join
-    /// pool: per-node mempools are independent, the chain is read-only
-    /// during the batch, and no RNG is consulted, so final state is
-    /// byte-identical to the serial interleaving at any worker count.
-    /// Delivery bookkeeping then runs serially in exact pop order.
-    fn deliver_batch(&mut self, batch: Vec<(NodeId, Arc<RelayPayload>, bool)>, now_ms: SimMillis) {
-        for (_, payload, _) in &batch {
-            if payload.precheck_cached() {
-                self.profile.admission_precheck_hits += 1;
-            } else {
-                let _ = payload.precheck();
-            }
-        }
-        if batch.len() == 1 {
-            let (node, payload, counted) = batch.into_iter().next().expect("len checked");
-            self.deliver(node, &payload, now_ms, counted);
-            return;
-        }
-        self.profile.delivery_batches += 1;
-        self.profile.batched_deliveries += batch.len() as u64;
-        self.profile.max_delivery_batch = self.profile.max_delivery_batch.max(batch.len() as u64);
-        let now_secs = now_ms / 1_000;
-
-        // Group by receiving node, preserving per-node pop order. Batches
-        // are a handful of events, so a linear group scan beats a map.
-        struct NodeGroup<'a> {
-            node: NodeId,
-            mempool: Option<&'a mut Mempool>,
-            idxs: Vec<usize>,
-            accepted: Vec<bool>,
-        }
-        let World { network, chain, pool, delivery_state, workload, .. } = &mut *self;
-        // Confirmed-in-flight probe, width-independent, computed serially
-        // per item: counted deliveries read it off the bookkeeping map
-        // (absent entry ⟺ confirmed and reclaimed — see `deliver`);
-        // fault-injected duplicates still consult the chain directly.
-        let confirmed: Vec<bool> = batch
-            .iter()
-            .map(|(_, payload, counted)| {
-                if *counted {
-                    !delivery_state.contains_key(&payload.txid)
-                } else {
-                    chain.contains_tx(&payload.txid)
-                }
-            })
-            .collect();
-        let mut views: FastMap<NodeId, &mut Mempool> = network.mempools_iter_mut().collect();
-        let mut groups: Vec<NodeGroup> = Vec::new();
-        for (i, (node, _, _)) in batch.iter().enumerate() {
-            match groups.iter_mut().find(|g| g.node == *node) {
-                Some(g) => g.idxs.push(i),
-                None => groups.push(NodeGroup {
-                    node: *node,
-                    mempool: views.remove(node),
-                    idxs: vec![i],
-                    accepted: Vec::new(),
-                }),
-            }
-        }
-        let batch_ref = &batch;
-        let confirmed_ref = &confirmed;
-        pool.for_each_mut(&mut groups, |g| {
-            g.accepted = g
-                .idxs
-                .iter()
-                .map(|&i| {
-                    let (_, payload, _) = &batch_ref[i];
-                    confirmed_ref[i]
-                        || g.mempool.as_mut().is_some_and(|m| {
-                            m.add_prechecked(
-                                Arc::clone(&payload.tx),
-                                payload.fee,
-                                now_secs,
-                                payload.precheck(),
-                            )
-                            .is_ok()
-                        })
-                })
-                .collect();
-        });
-
-        // Scatter per-group verdicts back into pop order, then run the
-        // delivery bookkeeping serially in exactly that order.
-        let mut accepted = vec![false; batch.len()];
-        for g in &groups {
-            for (k, &i) in g.idxs.iter().enumerate() {
-                accepted[i] = g.accepted[k];
-            }
-        }
-        for (i, (_, payload, counted)) in batch.iter().enumerate() {
-            if !*counted {
-                continue;
-            }
-            if let Some((remaining, all_ok)) = delivery_state.get_mut(&payload.txid) {
-                *all_ok &= accepted[i];
-                *remaining -= 1;
-                if *remaining == 0 {
-                    let ok = *all_ok;
-                    delivery_state.remove(&payload.txid);
-                    if ok {
-                        workload.mark_broadcast_ok(&payload.txid);
-                    }
-                }
-            }
-        }
-    }
-
+    /// The payload's admission precheck is resolved first, even for a
+    /// delivery that is then dropped; a precheck already memoized by an
+    /// earlier delivery of the same broadcast counts as a hit.
     fn deliver(&mut self, node: NodeId, payload: &RelayPayload, now_ms: SimMillis, counted: bool) {
+        if payload.precheck_cached() {
+            self.profile.admission_precheck_hits += 1;
+        } else {
+            let _ = payload.precheck();
+        }
         let txid = payload.txid;
         let now_secs = now_ms / 1_000;
         if !counted {
@@ -1286,11 +1129,10 @@ impl World {
         self.workload.on_block_confirmed(&block);
         SimProfile::credit(&mut self.profile.assembly, t_assembly.elapsed());
         // The block tick proper: every stakeholder view evicts the
-        // confirmed set and repairs its ancestor scores. Views are
-        // independent, so they fan across the pool; timed as `eviction`
-        // (schema ≤ 5 buried this inside `assembly`).
+        // confirmed set and repairs its ancestor scores; timed as
+        // `eviction` (schema ≤ 5 buried this inside `assembly`).
         let t_eviction = Instant::now();
-        self.network.apply_block_parallel(&block, &self.pool);
+        self.network.apply_block(&block);
         SimProfile::credit(&mut self.profile.eviction, t_eviction.elapsed());
         self.block_miners.push(idx);
         self.profile.blocks += 1;
@@ -1471,14 +1313,71 @@ mod tests {
         }
     }
 
+    /// A scenario exercising every drawn field: scam flips, acceleration
+    /// demand with a dark-fee provider, zero-fee deviants, CPFP, and pool
+    /// self-transfers.
+    fn full_feature_scenario(seed: u64) -> Scenario {
+        let mut s = quick_scenario(seed);
+        s.pools[1] = PoolConfig::honest("Beta", 0.35, 1)
+            .with_behavior(PoolBehavior::DarkFee { premium: 1.5 });
+        s.acceleration_demand = 0.05;
+        s.zero_fee_prob = 0.02;
+        s.self_interest_rate = 0.01;
+        s.scam = Some(crate::scenario::ScamConfig {
+            window_start: 600,
+            window_end: 5_000,
+            donation_prob: 0.1,
+        });
+        s
+    }
+
+    /// Floored link latency puts a broadcast's whole fan-out on one
+    /// millisecond (delivery delays floor at `now + 1`), so deliveries
+    /// arrive in same-timestamp runs and share the relay precheck memo.
+    fn near_zero_latency_scenario(seed: u64) -> Scenario {
+        let mut s = quick_scenario(seed);
+        s.link_latency_median = 1e-9;
+        s.link_latency_sigma = 1e-6;
+        s.observers = (0..3)
+            .map(|i| crate::scenario::ObserverConfig::default_node().named(format!("o{i}")))
+            .collect();
+        s.relay_nodes = 2;
+        s
+    }
+
     #[test]
     fn deterministic_across_runs() {
-        let a = World::new(quick_scenario(7)).run();
-        let b = World::new(quick_scenario(7)).run();
-        assert_eq!(a.chain.height(), b.chain.height());
-        assert_eq!(a.chain.tip_hash(), b.chain.tip_hash());
-        assert_eq!(a.snapshots.len(), b.snapshots.len());
-        assert_eq!(a.block_miners, b.block_miners);
+        let runs: Vec<SimOutput> =
+            [quick_scenario(7), full_feature_scenario(41), near_zero_latency_scenario(7)]
+                .into_iter()
+                .map(|s| {
+                    let a = World::new(s.clone()).run();
+                    let b = World::new(s).run();
+                    assert_eq!(a.chain.height(), b.chain.height());
+                    assert_eq!(a.chain.tip_hash(), b.chain.tip_hash());
+                    assert_eq!(a.block_miners, b.block_miners);
+                    assert_eq!(a.snapshots, b.snapshots);
+                    assert_eq!(a.observer_streams, b.observer_streams);
+                    assert_eq!(a.profile.events_popped, b.profile.events_popped);
+                    assert_eq!(a.profile.deliveries, b.profile.deliveries);
+                    assert_eq!(
+                        a.profile.admission_precheck_hits,
+                        b.profile.admission_precheck_hits
+                    );
+                    assert_eq!(a.profile.max_delivery_batch, b.profile.max_delivery_batch);
+                    a
+                })
+                .collect();
+
+        let full = &runs[1];
+        assert!(full.profile.user_txs > 100, "scenario must generate real traffic");
+        assert!(full.profile.self_txs > 0, "scenario must exercise self-transfers");
+        assert!(!full.truth.accelerated_txids().is_empty(), "must exercise provider draws");
+        assert!(!full.truth.scam_txids().is_empty(), "must exercise scam flips");
+
+        let near = &runs[2].profile;
+        assert!(near.max_delivery_batch >= 2, "floored latency must form same-timestamp runs");
+        assert!(near.admission_precheck_hits > 0, "fan-out must reuse the relay precheck memo");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   implemented here rather than via `rand_distr` to stay within the
 //!   sanctioned offline dependency set,
 //! * a deterministic fork-join worker pool with an order-preserving join
-//!   ([`parwork`]), the substrate for byte-identical intra-simulation
-//!   parallelism.
+//!   ([`parwork`]), the substrate for byte-identical experiment-, sweep-
+//!   and audit-level parallelism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub use fisher::fisher_combine;
 pub use ks::{ks_two_sample, KsTest};
 pub use lgamma::{ln_binomial, ln_factorial, ln_gamma};
 pub use normal::{normal_cdf, normal_sf};
-pub use parwork::{Pool, ShardTiming};
+pub use parwork::Pool;
 pub use rng::SimRng;
 pub use stream::{Histogram, MinerAccumulator};
 pub use summary::Summary;

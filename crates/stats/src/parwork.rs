@@ -1,6 +1,6 @@
 //! Deterministic fork-join parallelism on `std::thread::scope`.
 //!
-//! The simulator and auditor must be byte-for-byte reproducible at any
+//! The harness and auditor must be byte-for-byte reproducible at any
 //! worker count, so this layer enforces one discipline everywhere it is
 //! used: **work items are independent, and results are joined in input
 //! order** regardless of which worker computed them or when it finished.
@@ -14,20 +14,10 @@
 //! join keeps the output identical to the serial loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Environment variable overriding the detected worker count (used by the
 /// CI dual-run gate to force 1-worker and N-worker runs on the same box).
 pub const WORKERS_ENV: &str = "CN_WORKERS";
-
-/// Per-worker timing record from a [`Pool::map_timed`] region.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardTiming {
-    /// Number of items this worker claimed.
-    pub items: u64,
-    /// Wall seconds this worker spent inside the region.
-    pub seconds: f64,
-}
 
 /// A fixed-width fork-join pool descriptor.
 ///
@@ -77,33 +67,17 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.map_timed(items, f).0
-    }
-
-    /// [`Pool::map`] plus per-worker shard timings (items claimed + wall
-    /// seconds), for the `SimProfile` shard breakdown.
-    pub fn map_timed<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Vec<ShardTiming>)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
         let n = items.len();
         let width = self.workers.min(n.max(1));
         if width <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = items.iter().map(&f).collect();
-            let timing = ShardTiming { items: n as u64, seconds: start.elapsed().as_secs_f64() };
-            return (out, vec![timing]);
+            return items.iter().map(&f).collect();
         }
 
         let next = AtomicUsize::new(0);
-        let mut shards: Vec<(Vec<(usize, R)>, ShardTiming)> = Vec::with_capacity(width);
-        std::thread::scope(|scope| {
+        let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..width)
                 .map(|_| {
                     scope.spawn(|| {
-                        let start = Instant::now();
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -112,94 +86,18 @@ impl Pool {
                             }
                             out.push((i, f(&items[i])));
                         }
-                        let timing = ShardTiming {
-                            items: out.len() as u64,
-                            seconds: start.elapsed().as_secs_f64(),
-                        };
-                        (out, timing)
+                        out
                     })
                 })
                 .collect();
-            for h in handles {
-                shards.push(h.join().expect("parwork worker panicked"));
-            }
+            handles.into_iter().map(|h| h.join().expect("parwork worker panicked")).collect()
         });
 
-        let mut timings = Vec::with_capacity(width);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (pairs, timing) in shards {
-            timings.push(timing);
-            for (i, r) in pairs {
-                slots[i] = Some(r);
-            }
+        for (i, r) in shards.into_iter().flatten() {
+            slots[i] = Some(r);
         }
-        let out = slots
-            .into_iter()
-            .map(|s| s.expect("every index claimed exactly once"))
-            .collect();
-        (out, timings)
-    }
-
-    /// Runs `f` once over every item **in place** — the batch-join shape
-    /// for fan-outs that mutate disjoint state (one mempool view per item)
-    /// instead of returning values.
-    ///
-    /// Items are claimed off the same atomic counter as [`Pool::map`];
-    /// because each index is claimed exactly once, each item's mutex is
-    /// locked exactly once and never contended — it exists only to let the
-    /// scoped threads share the slice safely without `unsafe`. `f` must
-    /// treat items as independent (no cross-item reads or writes); under
-    /// that discipline the final state is identical to the serial
-    /// `for item in items { f(item) }` at any worker count.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let n = items.len();
-        let width = self.workers.min(n.max(1));
-        if width <= 1 {
-            for item in items.iter_mut() {
-                f(item);
-            }
-            return;
-        }
-        let cells: Vec<std::sync::Mutex<&mut T>> =
-            items.iter_mut().map(std::sync::Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut cell = cells[i].lock().expect("uncontended per-item lock");
-                    f(&mut cell);
-                });
-            }
-        });
-    }
-
-    /// Generates `count` values from an index-addressed constructor, in
-    /// index order. Sugar for [`Pool::map`] over `0..count` without
-    /// materializing the index vector's contents into item payloads.
-    pub fn build<R, F>(&self, count: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.build_timed(count, f).0
-    }
-
-    /// [`Pool::build`] plus per-worker shard timings.
-    pub fn build_timed<R, F>(&self, count: usize, f: F) -> (Vec<R>, Vec<ShardTiming>)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let idx: Vec<usize> = (0..count).collect();
-        self.map_timed(&idx, |&i| f(i))
+        slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
     }
 }
 
@@ -234,15 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn timings_cover_all_items() {
-        let items: Vec<u32> = (0..100).collect();
-        let (_, shards) = Pool::with_workers(4).map_timed(&items, |&x| x + 1);
-        assert!(shards.len() <= 4 && !shards.is_empty());
-        let claimed: u64 = shards.iter().map(|s| s.items).sum();
-        assert_eq!(claimed, 100);
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: [u8; 0] = [];
         assert!(Pool::with_workers(8).map(&empty, |&b| b).is_empty());
@@ -250,45 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn build_is_index_order() {
-        let out = Pool::with_workers(5).build(33, |i| i * i);
-        let expect: Vec<usize> = (0..33).map(|i| i * i).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn width_clamps_to_item_count() {
         // More workers than items must not deadlock or drop items.
         let out = Pool::with_workers(16).map(&[1u8, 2], |&b| b);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for w in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..257).collect();
-            Pool::with_workers(w).for_each_mut(&mut items, |x| *x = *x * 3 + 1);
-            let expect: Vec<u64> = (0..257).map(|x| x * 3 + 1).collect();
-            assert_eq!(items, expect, "workers={w}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_skew() {
-        let mut empty: Vec<u8> = Vec::new();
-        Pool::with_workers(8).for_each_mut(&mut empty, |_| unreachable!());
-        let mut items: Vec<(usize, u64)> = (0..64).map(|i| (i, 0)).collect();
-        Pool::with_workers(7).for_each_mut(&mut items, |(i, acc)| {
-            for k in 0..(*i * 500) as u64 {
-                *acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-        });
-        let mut expect: Vec<(usize, u64)> = (0..64).map(|i| (i, 0)).collect();
-        for (i, acc) in &mut expect {
-            for k in 0..(*i * 500) as u64 {
-                *acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-        }
-        assert_eq!(items, expect);
     }
 }
