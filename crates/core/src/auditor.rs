@@ -284,8 +284,12 @@ pub fn audit_with_snapshots(
     if snapshots.is_empty() {
         return Err(AuditError::EmptySnapshotStream);
     }
-    let coverage = SnapshotCoverage::assess(snapshots, expectation.windows, expectation.detailed)
-        .with_chain(snapshots, index);
+    let coverage = SnapshotCoverage::assess_with_chain(
+        snapshots,
+        expectation.windows,
+        expectation.detailed,
+        index,
+    );
     let confidence = coverage.confidence();
     if confidence < expectation.min_coverage {
         return Err(AuditError::InsufficientCoverage {

@@ -9,8 +9,8 @@
 //! first-class, reportable number.
 
 use crate::index::ChainIndex;
+use cn_chain::{FastSet, Txid};
 use cn_mempool::MempoolSnapshot;
-use cn_chain::FastSet;
 
 /// How complete a snapshot stream is relative to what the observer was
 /// supposed to record, plus how much of the confirmed chain it saw.
@@ -48,34 +48,53 @@ impl SnapshotCoverage {
         expected_windows: u64,
         expected_detailed: u64,
     ) -> SnapshotCoverage {
-        let present_windows = snapshots.len() as u64;
-        let detailed: Vec<&MempoolSnapshot> =
-            snapshots.iter().filter(|s| s.is_detailed()).collect();
-        let truncated_detailed = detailed.iter().filter(|s| s.is_truncated()).count() as u64;
-        let degraded_windows = snapshots.iter().filter(|s| s.is_degraded()).count() as u64;
-        let observed: FastSet<_> =
-            detailed.iter().flat_map(|s| s.entries.iter().map(|e| e.txid)).collect();
+        let observed = distinct_txids(snapshots).len();
+        SnapshotCoverage::counted(snapshots, expected_windows, expected_detailed, observed)
+    }
+
+    /// Fills the chain-side fields: how many confirmed transactions the
+    /// stream saw pending before they committed.
+    pub fn with_chain(self, snapshots: &[MempoolSnapshot], index: &ChainIndex) -> Self {
+        self.joined(&distinct_txids(snapshots), index)
+    }
+
+    /// [`SnapshotCoverage::assess`] then [`SnapshotCoverage::with_chain`],
+    /// building the stream's distinct-txid set once for both.
+    pub(crate) fn assess_with_chain(
+        snapshots: &[MempoolSnapshot],
+        expected_windows: u64,
+        expected_detailed: u64,
+        index: &ChainIndex,
+    ) -> SnapshotCoverage {
+        let observed = distinct_txids(snapshots);
+        SnapshotCoverage::counted(snapshots, expected_windows, expected_detailed, observed.len())
+            .joined(&observed, index)
+    }
+
+    /// [`SnapshotCoverage::assess`] for a caller that already knows how
+    /// many distinct txids the stream's detailed snapshots hold: the
+    /// window fields are plain counts over the stream.
+    pub(crate) fn counted(
+        snapshots: &[MempoolSnapshot],
+        expected_windows: u64,
+        expected_detailed: u64,
+        txs_observed: usize,
+    ) -> SnapshotCoverage {
+        let detailed = || snapshots.iter().filter(|s| s.is_detailed());
         SnapshotCoverage {
             expected_windows,
-            present_windows,
+            present_windows: snapshots.len() as u64,
             expected_detailed,
-            present_detailed: detailed.len() as u64,
-            truncated_detailed,
-            degraded_windows,
-            txs_observed: observed.len(),
+            present_detailed: detailed().count() as u64,
+            truncated_detailed: detailed().filter(|s| s.is_truncated()).count() as u64,
+            degraded_windows: snapshots.iter().filter(|s| s.is_degraded()).count() as u64,
+            txs_observed,
             txs_confirmed: 0,
             confirmed_observed: 0,
         }
     }
 
-    /// Fills the chain-side fields: how many confirmed transactions the
-    /// stream saw pending before they committed.
-    pub fn with_chain(mut self, snapshots: &[MempoolSnapshot], index: &ChainIndex) -> Self {
-        let observed: FastSet<_> = snapshots
-            .iter()
-            .filter(|s| s.is_detailed())
-            .flat_map(|s| s.entries.iter().map(|e| e.txid))
-            .collect();
+    fn joined(mut self, observed: &FastSet<Txid>, index: &ChainIndex) -> Self {
         self.txs_confirmed = index.tx_count();
         self.confirmed_observed = observed.iter().filter(|t| index.record(t).is_some()).count();
         self
@@ -194,6 +213,11 @@ impl StreamExpectation {
         self.min_coverage = floor;
         self
     }
+}
+
+/// The distinct txids in a stream's detailed snapshots.
+fn distinct_txids(snapshots: &[MempoolSnapshot]) -> FastSet<Txid> {
+    snapshots.iter().flat_map(|s| s.observed_txids()).collect()
 }
 
 fn ratio(num: u64, den: u64) -> f64 {

@@ -38,6 +38,7 @@ use cn_chain::{Chain, FastMap, Timestamp, Txid};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One observer's contribution to the fleet: its label, its snapshot
 /// stream, and what that stream was scheduled to contain.
@@ -140,11 +141,17 @@ pub fn reconcile(views: &[ObserverView]) -> Result<FleetView, AuditError> {
     reconcile_with_pool(views, Pool::auto())
 }
 
-/// [`reconcile`] with an explicit fork-join width for the per-observer
-/// folds. The reconciliation is byte-identical at any width (the pool's
+/// [`reconcile`] with an explicit fork-join width for the per-window
+/// merges. The reconciliation is byte-identical at any width (the pool's
 /// order-preserving join); the parameter only moves wall time, and exists
 /// so the serial-vs-parallel identity property can be tested without
 /// touching process-global state.
+///
+/// One sorted sweep: every detailed snapshot's rows are sorted by txid,
+/// so each window's union is a k-way merge of its contributors' rows, and
+/// one serial co-walk of the fused rows against those contributors yields
+/// every per-observer first sighting and every distinct-txid count the
+/// view reports.
 pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetView, AuditError> {
     let (live, dead): (Vec<&ObserverView>, Vec<&ObserverView>) =
         views.iter().partition(|v| !v.snapshots.is_empty());
@@ -153,11 +160,6 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
     }
     let labels: Vec<String> = live.iter().map(|v| v.label.clone()).collect();
     let dropped: Vec<String> = dead.iter().map(|v| v.label.clone()).collect();
-    // Each observer's coverage assessment reads only its own stream: fan
-    // out per observer, join in roster order.
-    let per_observer: Vec<SnapshotCoverage> = pool.map(&live, |v| {
-        SnapshotCoverage::assess(&v.snapshots, v.expectation.windows, v.expectation.detailed)
-    });
 
     // The fused stream promises the widest schedule any live observer
     // promised; min_coverage is the strictest floor among them.
@@ -167,9 +169,31 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
         min_coverage: live.iter().map(|v| v.expectation.min_coverage).fold(0.0, f64::max),
     };
 
-    let fused = fuse_streams(&live, pool);
-    let coverage = SnapshotCoverage::assess(&fused, expectation.windows, expectation.detailed);
-    let first_seen = first_seen_stats(&live, pool);
+    let windows = bucket_windows(&live);
+    let fused = if let [solo] = live.as_slice() {
+        // A one-eyed fleet *is* its observer: share the rows (Arc clones)
+        // instead of re-merging every window's union of one.
+        solo.snapshots.clone()
+    } else {
+        pool.map(&windows, |(time, contributors)| fuse_window(*time, contributors))
+    };
+    let (first_seen, txs_observed) = first_seen_sweep(live.len(), &windows, &fused);
+
+    let per_observer = live
+        .iter()
+        .zip(txs_observed)
+        .map(|(v, txs)| {
+            let exp = v.expectation;
+            SnapshotCoverage::counted(&v.snapshots, exp.windows, exp.detailed, txs)
+        })
+        .collect();
+    // The fused detailed rows hold every txid any observer saw in detail.
+    let coverage = SnapshotCoverage::counted(
+        &fused,
+        expectation.windows,
+        expectation.detailed,
+        first_seen.txs_union,
+    );
 
     Ok(FleetView { labels, dropped, per_observer, fused, coverage, first_seen, expectation })
 }
@@ -189,106 +213,187 @@ pub fn audit_with_fleet(
     Ok((report, fleet))
 }
 
-/// Unions the live observers' streams window by window.
-///
-/// Window membership is decided serially (a cheap time-keyed bucketing);
-/// the per-window unions — where the row merging actually costs — are
-/// independent of one another and fan out across the pool, joined back in
-/// ascending window order.
-fn fuse_streams(live: &[&ObserverView], pool: Pool) -> Vec<MempoolSnapshot> {
+/// One fused window's inputs: its time and every snapshot recorded at
+/// that time, tagged with the recording observer's roster index, in
+/// roster then stream order.
+type Window<'a> = (Timestamp, Vec<(usize, &'a MempoolSnapshot)>);
+
+/// Groups the live streams' snapshots into fused windows, index-aligned
+/// with the fused stream. A solo fleet's fused stream is its own stream,
+/// so each of its snapshots is a window of its own (two snapshots with
+/// one timestamp stay two windows); a larger fleet's windows are its
+/// distinct snapshot times, ascending.
+fn bucket_windows<'a>(live: &[&'a ObserverView]) -> Vec<Window<'a>> {
     if let [solo] = live {
-        // A one-eyed fleet *is* its observer: share the rows (Arc clones)
-        // instead of re-sorting every window's union of one.
-        return solo.snapshots.clone();
+        return solo.snapshots.iter().map(|s| (s.time, vec![(0, s)])).collect();
     }
-    let mut by_time: BTreeMap<Timestamp, Vec<&MempoolSnapshot>> = BTreeMap::new();
-    for view in live {
+    let mut by_time: BTreeMap<Timestamp, Vec<(usize, &MempoolSnapshot)>> = BTreeMap::new();
+    for (obs, view) in live.iter().enumerate() {
         for snap in &view.snapshots {
-            by_time.entry(snap.time).or_default().push(snap);
+            by_time.entry(snap.time).or_default().push((obs, snap));
         }
     }
-    let windows: Vec<(Timestamp, Vec<&MempoolSnapshot>)> = by_time.into_iter().collect();
-    pool.map(&windows, |(time, contributors)| {
-        let time = *time;
-            // One healthy contributor heals the window: stamps survive
-            // fusion only when unanimous.
-            let all_degraded = contributors.iter().all(|s| s.is_degraded());
-            let detailed: Vec<&&MempoolSnapshot> =
-                contributors.iter().filter(|s| s.is_detailed()).collect();
-            let mut snap = if detailed.is_empty() {
-                // Light window: the biggest backlog anyone saw is the
-                // least-censored aggregate available.
-                let count = contributors.iter().map(|s| s.len()).max().unwrap_or(0);
-                let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
-                MempoolSnapshot::light(time, count, vsize)
-            } else {
-                let mut rows: FastMap<Txid, SnapshotEntry> = FastMap::default();
-                for s in &detailed {
-                    for e in s.entries.iter() {
-                        rows.entry(e.txid)
-                            .and_modify(|kept| {
-                                // Earliest sighting wins; CPFP candidacy
-                                // stays flagged if anyone saw the parent
-                                // unconfirmed (conservative for §4.2.1).
-                                kept.received = kept.received.min(e.received);
-                                kept.has_unconfirmed_parent |= e.has_unconfirmed_parent;
-                            })
-                            .or_insert(*e);
-                    }
-                }
-                let merged =
-                    MempoolSnapshot::from_entries(time, rows.into_values().collect());
-                if detailed.iter().all(|s| s.is_truncated()) {
-                    // Every dump was cut off, so the union is still a cut
-                    // view; a full-keep truncation applies the stamp.
-                    merged.truncate_detail(1.0)
-                } else {
-                    merged
-                }
-            };
-            if all_degraded {
-                snap = snap.mark_degraded();
-            }
-            snap
-        })
+    by_time.into_iter().collect()
 }
 
-/// Computes the cross-observer first-seen agreement statistics.
-fn first_seen_stats(live: &[&ObserverView], pool: Pool) -> FirstSeenStats {
-    // Per-observer earliest sighting per txid: each map reads only its own
-    // observer's stream, so the builds fan out; the cross-observer merge
-    // below stays serial in roster order.
-    let per_obs: Vec<FastMap<Txid, Timestamp>> = pool.map(live, |view| {
-        let mut first: FastMap<Txid, Timestamp> = FastMap::default();
-        for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
-            for e in snap.entries.iter() {
-                first
-                    .entry(e.txid)
-                    .and_modify(|t| *t = (*t).min(e.received))
-                    .or_insert(e.received);
+/// Fuses one window of a multi-observer fleet.
+fn fuse_window(time: Timestamp, contributors: &[(usize, &MempoolSnapshot)]) -> MempoolSnapshot {
+    // One healthy contributor heals the window: stamps survive fusion
+    // only when unanimous.
+    let all_degraded = contributors.iter().all(|(_, s)| s.is_degraded());
+    let detailed: Vec<&MempoolSnapshot> =
+        contributors.iter().map(|&(_, s)| s).filter(|s| s.is_detailed()).collect();
+    let snap = if detailed.is_empty() {
+        // Light window: the biggest backlog anyone saw is the
+        // least-censored aggregate available.
+        let count = contributors.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        let vsize = contributors.iter().map(|(_, s)| s.total_vsize()).max().unwrap_or(0);
+        MempoolSnapshot::light(time, count, vsize)
+    } else {
+        let rows: Vec<&[SnapshotEntry]> = detailed.iter().map(|s| s.entries.as_slice()).collect();
+        let (rows, vsize) = merge_rows(&rows);
+        let merged = MempoolSnapshot::from_shared(time, Arc::new(rows), vsize);
+        // Every dump was cut off, so the union is still a cut view.
+        if detailed.iter().all(|s| s.is_truncated()) {
+            merged.mark_truncated()
+        } else {
+            merged
+        }
+    };
+    if all_degraded {
+        snap.mark_degraded()
+    } else {
+        snap
+    }
+}
+
+/// K-way merge of txid-sorted row runs into one row per distinct txid,
+/// plus the merged rows' total vsize. The first run (roster order)
+/// holding a txid supplies its fee and vsize; the earliest sighting wins
+/// `received`, and CPFP candidacy stays flagged if any row saw the parent
+/// unconfirmed (conservative for §4.2.1). Equal txids repeated within
+/// one run fold the same way.
+fn merge_rows(runs: &[&[SnapshotEntry]]) -> (Vec<SnapshotEntry>, u64) {
+    debug_assert!(runs.iter().all(|r| r.windows(2).all(|w| w[0].txid <= w[1].txid)));
+    let mut heads = vec![0usize; runs.len()];
+    let mut rows = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    let mut vsize = 0;
+    loop {
+        // The smallest head; ties go to the earliest run, so every run
+        // before `first` has a strictly larger head (or none).
+        let mut first: Option<(usize, &SnapshotEntry)> = None;
+        for (run, (rows, &head)) in runs.iter().zip(&heads).enumerate() {
+            if let Some(e) = rows.get(head) {
+                if first.is_none_or(|(_, best)| e.txid < best.txid) {
+                    first = Some((run, e));
+                }
             }
         }
-        first
-    });
+        let Some((first, &row)) = first else { break };
+        let mut row = row;
+        for (rows, head) in runs.iter().zip(&mut heads).skip(first) {
+            while let Some(e) = rows.get(*head).filter(|e| e.txid == row.txid) {
+                row.received = row.received.min(e.received);
+                row.has_unconfirmed_parent |= e.has_unconfirmed_parent;
+                *head += 1;
+            }
+        }
+        vsize += row.vsize;
+        rows.push(row);
+    }
+    rows.shrink_to_fit();
+    (rows, vsize)
+}
 
-    let mut sightings: FastMap<Txid, (Timestamp, Timestamp, usize)> = FastMap::default();
-    for first in &per_obs {
-        for (&txid, &t) in first {
-            sightings
-                .entry(txid)
-                .and_modify(|(min, max, n)| {
-                    *min = (*min).min(t);
-                    *max = (*max).max(t);
-                    *n += 1;
-                })
-                .or_insert((t, t, 1));
+/// Walks each fused window's rows against its contributors' rows once,
+/// serially: every fused txid gets a dense id in first-sighting order,
+/// and `first[id · observers + obs]` keeps observer `obs`'s earliest
+/// sighting of it. Every count the view reports derives from that table.
+fn first_seen_sweep(
+    observers: usize,
+    windows: &[Window<'_>],
+    fused: &[MempoolSnapshot],
+) -> (FirstSeenStats, Vec<usize>) {
+    let mut ids: FastMap<Txid, usize> = FastMap::default();
+    let mut first: Vec<Option<Timestamp>> = Vec::new();
+    let mut cursors: Vec<(usize, &[SnapshotEntry])> = Vec::new();
+    // Consecutive windows share most rows: a forward cursor over the
+    // previous detailed window's sorted rows finds their ids without
+    // hashing, and only txids new since then reach the map.
+    let (mut prev, mut prev_ids, mut row_ids): (&[SnapshotEntry], Vec<usize>, Vec<usize>) =
+        (&[], Vec::new(), Vec::new());
+    for ((_, contributors), snap) in windows.iter().zip(fused).filter(|(_, s)| s.is_detailed()) {
+        row_ids.clear();
+        let mut at = 0;
+        cursors.clear();
+        cursors.extend(
+            contributors
+                .iter()
+                .filter(|(_, s)| s.is_detailed())
+                .map(|&(obs, s)| (obs, s.entries.as_slice())),
+        );
+        for row in snap.entries.iter() {
+            while prev.get(at).is_some_and(|p| p.txid < row.txid) {
+                at += 1;
+            }
+            let id = match prev.get(at) {
+                Some(p) if p.txid == row.txid => prev_ids[at],
+                _ => {
+                    let fresh = ids.len();
+                    let id = *ids.entry(row.txid).or_insert(fresh);
+                    if id == fresh {
+                        first.resize(first.len() + observers, None);
+                    }
+                    id
+                }
+            };
+            row_ids.push(id);
+            let sightings = &mut first[id * observers..][..observers];
+            // Every run is txid-sorted and the fused rows hold every
+            // contributor txid, so each cursor only ever moves forward.
+            for (obs, rest) in &mut cursors {
+                while let Some((e, tail)) = rest.split_first().filter(|(e, _)| e.txid == row.txid) {
+                    let t = &mut sightings[*obs];
+                    *t = Some(t.map_or(e.received, |t| t.min(e.received)));
+                    *rest = tail;
+                }
+            }
+        }
+        prev = &snap.entries;
+        std::mem::swap(&mut prev_ids, &mut row_ids);
+    }
+    tally(&first, observers, ids.len())
+}
+
+/// Derives the agreement statistics and each observer's distinct-txid
+/// count from the first-sighting table, which holds one row of
+/// `observers` sightings per fused txid.
+fn tally(
+    first: &[Option<Timestamp>],
+    observers: usize,
+    txs_union: usize,
+) -> (FirstSeenStats, Vec<usize>) {
+    let mut txs_observed = vec![0; observers];
+    let mut txs_all = 0;
+    let mut spreads: Vec<u64> = Vec::new();
+    for sightings in first.chunks_exact(observers) {
+        let mut seen_by = 0;
+        let (mut min, mut max) = (Timestamp::MAX, Timestamp::MIN);
+        for (count, t) in txs_observed.iter_mut().zip(sightings) {
+            if let Some(t) = *t {
+                *count += 1;
+                seen_by += 1;
+                min = min.min(t);
+                max = max.max(t);
+            }
+        }
+        if seen_by == observers {
+            txs_all += 1;
+        }
+        if seen_by >= 2 {
+            spreads.push(max - min);
         }
     }
-
-    let txs_union = sightings.len();
-    let txs_all = sightings.values().filter(|(_, _, n)| *n == live.len()).count();
-    let mut spreads: Vec<u64> =
-        sightings.values().filter(|(_, _, n)| *n >= 2).map(|(min, max, _)| max - min).collect();
     spreads.sort_unstable();
     let disagreements = spreads.iter().filter(|s| **s > 0).count();
     let mean_spread_secs = if spreads.is_empty() {
@@ -305,14 +410,15 @@ fn first_seen_stats(live: &[&ObserverView], pool: Pool) -> FirstSeenStats {
     };
     let max_spread_secs = spreads.last().copied().unwrap_or(0);
 
-    FirstSeenStats {
+    let stats = FirstSeenStats {
         txs_union,
         txs_all,
         disagreements,
         mean_spread_secs,
         median_spread_secs,
         max_spread_secs,
-    }
+    };
+    (stats, txs_observed)
 }
 
 #[cfg(test)]

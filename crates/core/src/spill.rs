@@ -19,6 +19,8 @@
 //! run, and [`StreamingAuditor::rolling`] stays available throughout at
 //! its usual O(window) cost.
 
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used, clippy::panic))]
+
 use crate::auditor::AuditReport;
 use crate::error::AuditError;
 use crate::index::{BlockInfo, ChainIndex, TxRecord};

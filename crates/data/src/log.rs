@@ -43,6 +43,8 @@
 //!
 //! Corruption surfaces as a typed [`LogError`], never a panic.
 
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used, clippy::panic))]
+
 use cn_chain::encode::{
     ensure_remaining, read_compact_size, write_compact_size, DecodeError, MAX_DECODE_LEN,
 };
@@ -366,7 +368,7 @@ impl<R: Read> LogReader<R> {
             }
             let mut raw = vec![0u8; len as usize];
             read_exact_or(&mut input, &mut raw, LogError::TruncatedRecord)?;
-            let mut bytes = Bytes::copy_from_slice(&raw);
+            let mut bytes = Bytes::from(raw);
             let tx = Transaction::decode(&mut bytes)?;
             if bytes.has_remaining() {
                 return Err(LogError::TrailingBytes);
@@ -410,7 +412,7 @@ impl<R: Read> LogReader<R> {
             }
             let mut payload = vec![0u8; len as usize];
             read_exact_or(&mut self.input, &mut payload, LogError::TruncatedRecord)?;
-            let mut payload = Bytes::copy_from_slice(&payload);
+            let mut payload = Bytes::from(payload);
             match tag {
                 TAG_SEGMENT => {
                     let _index = read_compact_size(&mut payload)?;
