@@ -1,17 +1,15 @@
-//! Simulation fast-path costs: the event queue (binary heap vs the
-//! calendar [`BucketQueue`] the world runs on) and zero-clone relay
-//! delivery ([`Network::broadcast_tx`] fanning one `Arc`'d transaction
-//! out to every stakeholder mempool).
+//! Simulation fast-path costs: the binary-heap [`EventQueue`] the world
+//! runs on and zero-clone relay delivery ([`Network::broadcast_tx`]
+//! fanning one `Arc`'d transaction out to every stakeholder mempool).
 //!
 //! The queue is exercised under the two due-time regimes the simulator
 //! produces: *uniform* over a short horizon (relay deliveries, snapshot
-//! ticks) and *heavy-tail* (block finds minutes out, which land in the
-//! bucket queue's far map and migrate in as the window advances).
+//! ticks) and *heavy-tail* (block finds minutes out).
 
 use cn_chain::{Address, Amount, Transaction, TxOut};
 use cn_mempool::MempoolPolicy;
 use cn_net::{LatencyModel, Network, NodeRole, Topology};
-use cn_sim::event::{BucketQueue, EventQueue, SimMillis};
+use cn_sim::event::{EventQueue, SimMillis};
 use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,7 +22,7 @@ fn uniform_dues(n: usize, seed: u64) -> Vec<SimMillis> {
 }
 
 /// Heavy-tail due times: most within seconds, a fat tail minutes out
-/// (the block-find regime that lands in the far map).
+/// (the block-find regime).
 fn heavy_tail_dues(n: usize, seed: u64) -> Vec<SimMillis> {
     let mut rng = SimRng::seed_from_u64(seed);
     (0..n)
@@ -57,22 +55,6 @@ fn churn_heap(dues: &[SimMillis]) -> u64 {
     acc
 }
 
-fn churn_bucket(dues: &[SimMillis]) -> u64 {
-    let mut q = BucketQueue::new();
-    let mut acc = 0u64;
-    let mut feed = dues.iter();
-    for &d in feed.by_ref().take(dues.len() / 2) {
-        q.schedule(d, d);
-    }
-    while let Some((now, payload)) = q.pop() {
-        acc = acc.wrapping_add(now ^ payload);
-        if let Some(&d) = feed.next() {
-            q.schedule(now + (d % 5_000), d);
-        }
-    }
-    acc
-}
-
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(20);
@@ -82,9 +64,6 @@ fn bench_event_queue(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("heap", dist), &dues, |b, dues| {
             b.iter(|| black_box(churn_heap(dues)))
-        });
-        group.bench_with_input(BenchmarkId::new("bucket", dist), &dues, |b, dues| {
-            b.iter(|| black_box(churn_bucket(dues)))
         });
     }
     group.finish();

@@ -40,14 +40,15 @@
 //!
 //! Exit status: 0 on success, 1 when a result or `BENCH_pipeline.json`
 //! could not be written, 2 for a rejected command line (unknown flag or
-//! experiment id; checked before any work, so nothing is written), 3 for
-//! golden drift under `--verify`.
+//! experiment id, or a `CN_WORKERS` value outside `1..=64`; checked before
+//! any work, so nothing is written), 3 for golden drift under `--verify`.
 
 use cn_bench::exp_streaming::peak_rss_kb;
 use cn_bench::{run_experiment, Lab, MegasimTier, StreamingBench, ALL_IDS, DATASET_NAMES};
 use cn_data::Scale;
 use cn_core::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
 use cn_core::StreamExpectation;
+use cn_stats::parwork::{workers_from_env, WORKERS_ENV};
 use cn_stats::Pool;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -149,6 +150,13 @@ fn main() {
         for id in unknown {
             eprintln!("unknown experiment id: {id} (use --list)");
         }
+        std::process::exit(2);
+    }
+    // The library's `Pool::auto` falls back to the detected width on a
+    // malformed override; a harness run must not silently test another
+    // width than the one asked for.
+    if let Err(e) = workers_from_env() {
+        eprintln!("invalid {WORKERS_ENV}: {e}");
         std::process::exit(2);
     }
     if stream {

@@ -9,7 +9,7 @@
 //! primary observer, fleet-wide selective withholding of high-fee and
 //! miner-origin transactions, and spy-resistant diffusion delays — then
 //! reconciles the first N ∈ {1, 2, 4, 8} streams through
-//! [`cn_core::reconcile`] and reports, per (scenario, N):
+//! [`cn_core::reconcile()`] and reports, per (scenario, N):
 //!
 //! * fused coverage confidence and degraded-window count — whether the
 //!   audit would *refuse* below the coverage floor;

@@ -62,3 +62,26 @@ fn verify_reports_drift_and_leaves_the_golden_untouched() {
     assert_eq!(dir_entries(&dir.join("results")), ["fig1.txt"], "no temporary files left");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_cn_workers_exits_2_and_writes_nothing() {
+    let dir = scratch_dir("bad-workers");
+    for value in ["l6", "0", "65", "", "-1", "1.5", "16x"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["--quick", "fig1"])
+            .env("CN_WORKERS", value)
+            .current_dir(&dir)
+            .output()
+            .expect("run experiments");
+        assert_eq!(out.status.code(), Some(2), "CN_WORKERS={value:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("invalid CN_WORKERS"),
+            "CN_WORKERS={value:?}: stderr names the rejected variable"
+        );
+        assert!(out.stdout.is_empty(), "CN_WORKERS={value:?}: no experiment ran");
+        assert!(!dir.join("results").exists(), "CN_WORKERS={value:?}: results/ created");
+        assert!(!dir.join("BENCH_pipeline.json").exists(), "CN_WORKERS={value:?}: BENCH written");
+        assert_eq!(dir_entries(&dir), Vec::<String>::new(), "CN_WORKERS={value:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -18,9 +18,9 @@
 //! * [`sppe`] — *Signed PPE* per transaction and per miner: positive when
 //!   a transaction was placed above its fee-rate rank (§5.1, §5.4.2).
 //! * [`pairs`] — snapshot-based violation-pair counting with an ε arrival
-//!   margin and CPFP filtering (§4.2.1, Figure 6); includes an
-//!   `O(n log² n)` offline divide-and-conquer counter and an `O(n²)`
-//!   reference implementation.
+//!   margin and CPFP filtering (§4.2.1, Figure 6): one time-ordered sweep
+//!   counter, one cross-block kernel for streaming window sealing, and an
+//!   `O(n²)` reference for each.
 //! * [`prioritization`] — the exact binomial acceleration/deceleration
 //!   test (§5.1.1–5.1.2) with a windowed Fisher's-method variant (§5.1.3)
 //!   for drifting hash rates (Tables 2 and 3).
@@ -43,9 +43,9 @@
 //!   verdicts with bounded memory, and produces exact audits bit-identical
 //!   to `audit_with_snapshots` on demand
 //!   ([`streaming::StreamingAuditor`]).
-//! * [`reconcile`] — cross-observer reconciliation: fuses an observer
-//!   *fleet*'s snapshot streams (union rows, min first-seen, unanimity
-//!   rules for degraded/truncated stamps), quantifies first-seen
+//! * [`reconcile`](mod@reconcile) — cross-observer reconciliation: fuses
+//!   an observer *fleet*'s snapshot streams (union rows, min first-seen,
+//!   unanimity rules for degraded/truncated stamps), quantifies first-seen
 //!   disagreement between vantage points, and drives the standard audit
 //!   over the fused view (`reconcile::audit_with_fleet`).
 //! * [`error`], [`coverage`] — the typed failure taxonomy
@@ -89,9 +89,8 @@ pub use error::AuditError;
 pub use darkfee::{sppe_threshold_table, SppeThresholdRow};
 pub use index::{BlockInfo, ChainIndex, TxRecord};
 pub use pairs::{
-    count_cross_block, count_cross_block_bitset, count_cross_block_merge,
-    count_cross_block_reference, count_violations_cdq, count_violations_reference, BlockPairSet,
-    PairObservation, PairStats,
+    count_cross_block, count_cross_block_reference, count_violations_cdq,
+    count_violations_reference, BlockPairSet, PairObservation, PairStats,
 };
 pub use ppe::{block_ppe, chain_ppe, ppe_by_miner};
 pub use prioritization::{differential_prioritization, windowed_prioritization, DifferentialTest};

@@ -235,7 +235,7 @@ pub fn count_violations_cdq(obs: &[PairObservation], epsilon: u64) -> PairStats 
 }
 
 // ---------------------------------------------------------------------------
-// Cross-block kernels (streaming window sealing)
+// Cross-block kernel (streaming window sealing)
 // ---------------------------------------------------------------------------
 //
 // The streaming auditor charges each cross-block pair to the earlier
@@ -252,28 +252,21 @@ pub fn count_violations_cdq(obs: &[PairObservation], epsilon: u64) -> PairStats 
 // The naive scan is `O(|L|·|E|)` per block pair and dominates window
 // sealing. Both directions are instances of one primitive —
 // `dominant(X, Y) = #{(x, y) : x.recv + ε < y.recv && x.fee > y.fee}` —
-// for which this module provides two exact kernels over pre-sorted
-// per-block arrays ([`BlockPairSet`], built once per sealed block and
-// reused for every window comparison it participates in):
+// counted by one exact kernel over pre-sorted per-block arrays
+// ([`BlockPairSet`], built once per sealed block and reused for every
+// window comparison it participates in): sweep Y by fee (descending)
+// with a two-pointer marking of higher-fee X rows in a bitset indexed by
+// X's arrival rank, answering each y by a prefix popcount,
+// `O(|Y|·|X|/64)`. Block rowsets on every measured workload hold a few
+// hundred rows (317 at most), where the word scan is a handful of
+// popcounts.
 //
-// * a **sorted-merge** kernel: sweep Y by arrival time with a two-pointer
-//   insert of ε-eligible X rows into a Fenwick tree keyed by fee rank,
-//   `O((|X|+|Y|) log |X|)`;
-// * a **bitset** kernel: sweep Y by fee (descending) with a two-pointer
-//   marking of higher-fee X rows in a bitset indexed by X's arrival
-//   rank, answering each y by a prefix popcount, `O(|Y|·|X|/64)`.
-//
-// Both are bit-identical to the nested-loop reference (strict
-// comparisons, saturating ε) — counting is exact integer arithmetic, so
-// kernel choice can never change an audit verdict.
+// The kernel is bit-identical to the nested-loop reference
+// [`count_cross_block_reference`] (strict comparisons, saturating ε) at
+// any size — counting is exact integer arithmetic, so it can never
+// change an audit verdict.
 
-/// Row-count threshold below which the bitset kernel beats the
-/// sorted-merge kernel (`|X|/64` words per query vs `log |X|` Fenwick
-/// probes, see the `pair_kernels` bench). Real block rowsets are a few
-/// hundred rows, so the bitset path is the common case.
-pub const BITSET_KERNEL_MAX_ROWS: usize = 4096;
-
-/// One block's eligible rows, pre-sorted for the cross-block kernels.
+/// One block's eligible rows, pre-sorted for the cross-block kernel.
 ///
 /// Rows carry only what the norm compares: first-seen time and the exact
 /// integer fee key (sat/kvB). Ranks are `u32` handles into the block's
@@ -282,14 +275,10 @@ pub const BITSET_KERNEL_MAX_ROWS: usize = 4096;
 pub struct BlockPairSet {
     /// First-seen times, ascending.
     recv: Vec<u64>,
-    /// Fee key of the row at each arrival rank.
-    fee_by_recv: Vec<u64>,
     /// Fee keys, ascending.
     fees_asc: Vec<u64>,
     /// Arrival rank of the row at each fee-ascending slot.
     recv_rank_by_fee_asc: Vec<u32>,
-    /// Fee-ascending slot of the row at each arrival rank.
-    fee_slot_by_recv: Vec<u32>,
 }
 
 impl BlockPairSet {
@@ -299,16 +288,11 @@ impl BlockPairSet {
             rows.into_iter().map(|(t, f)| (t, f.to_sat_per_kvb())).collect();
         by_recv.sort_unstable();
         let recv: Vec<u64> = by_recv.iter().map(|r| r.0).collect();
-        let fee_by_recv: Vec<u64> = by_recv.iter().map(|r| r.1).collect();
 
         let mut fee_order: Vec<u32> = (0..by_recv.len() as u32).collect();
-        fee_order.sort_unstable_by_key(|&r| fee_by_recv[r as usize]);
-        let fees_asc: Vec<u64> = fee_order.iter().map(|&r| fee_by_recv[r as usize]).collect();
-        let mut fee_slot_by_recv = vec![0u32; by_recv.len()];
-        for (slot, &r) in fee_order.iter().enumerate() {
-            fee_slot_by_recv[r as usize] = slot as u32;
-        }
-        BlockPairSet { recv, fee_by_recv, fees_asc, recv_rank_by_fee_asc: fee_order, fee_slot_by_recv }
+        fee_order.sort_unstable_by_key(|&r| by_recv[r as usize].1);
+        let fees_asc: Vec<u64> = fee_order.iter().map(|&r| by_recv[r as usize].1).collect();
+        BlockPairSet { recv, fees_asc, recv_rank_by_fee_asc: fee_order }
     }
 
     /// Number of rows.
@@ -328,32 +312,8 @@ impl BlockPairSet {
     }
 }
 
-/// `dominant(X, Y)` via arrival-sweep + Fenwick over X's fee ranks.
-fn dominant_merge(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
-    if x.is_empty() || y.is_empty() {
-        return 0;
-    }
-    let mut fenwick = vec![0u32; x.len()];
-    let mut xi = 0usize;
-    let mut added = 0u64;
-    let mut count = 0u64;
-    for (&y_recv, &y_fee) in y.recv.iter().zip(&y.fee_by_recv) {
-        while xi < x.len() && x.recv[xi].saturating_add(epsilon) < y_recv {
-            fenwick_add(&mut fenwick, x.fee_slot_by_recv[xi] as usize + 1);
-            added += 1;
-            xi += 1;
-        }
-        if added > 0 {
-            // Rows with fee <= y_fee occupy exactly the first `le` fee slots.
-            let le = x.fees_asc.partition_point(|&f| f <= y_fee);
-            count += added - fenwick_prefix(&fenwick, le);
-        }
-    }
-    count
-}
-
 /// `dominant(X, Y)` via fee-descending sweep + arrival-rank bitset.
-fn dominant_bitset(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
+fn dominant(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
     if x.is_empty() || y.is_empty() {
         return 0;
     }
@@ -382,18 +342,9 @@ fn dominant_bitset(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
     count
 }
 
-/// `dominant(X, Y)` with the kernel picked by X's row count.
-fn dominant(x: &BlockPairSet, y: &BlockPairSet, epsilon: u64) -> u64 {
-    if x.len() <= BITSET_KERNEL_MAX_ROWS {
-        dominant_bitset(x, y, epsilon)
-    } else {
-        dominant_merge(x, y, epsilon)
-    }
-}
-
 /// Cross-block pair statistics between a sealing (later) block and one
-/// earlier window block, kernel-accelerated. `total_pairs` is the ordered
-/// cross-product `|L|·|E|`.
+/// earlier window block. `total_pairs` is the ordered cross-product
+/// `|L|·|E|`.
 pub fn count_cross_block(later: &BlockPairSet, earlier: &BlockPairSet, epsilon: u64) -> PairStats {
     let violating = dominant(later, earlier, epsilon);
     let held = dominant(earlier, later, epsilon);
@@ -404,40 +355,8 @@ pub fn count_cross_block(later: &BlockPairSet, earlier: &BlockPairSet, epsilon: 
     }
 }
 
-/// [`count_cross_block`] pinned to the sorted-merge (Fenwick) kernel
-/// regardless of block size — for ablation benches and equivalence tests.
-pub fn count_cross_block_merge(
-    later: &BlockPairSet,
-    earlier: &BlockPairSet,
-    epsilon: u64,
-) -> PairStats {
-    let violating = dominant_merge(later, earlier, epsilon);
-    let held = dominant_merge(earlier, later, epsilon);
-    PairStats {
-        violating,
-        candidates: held + violating,
-        total_pairs: later.len() as u64 * earlier.len() as u64,
-    }
-}
-
-/// [`count_cross_block`] pinned to the bitset kernel regardless of block
-/// size — for ablation benches and equivalence tests.
-pub fn count_cross_block_bitset(
-    later: &BlockPairSet,
-    earlier: &BlockPairSet,
-    epsilon: u64,
-) -> PairStats {
-    let violating = dominant_bitset(later, earlier, epsilon);
-    let held = dominant_bitset(earlier, later, epsilon);
-    PairStats {
-        violating,
-        candidates: held + violating,
-        total_pairs: later.len() as u64 * earlier.len() as u64,
-    }
-}
-
 /// Quadratic cross-block reference: the literal sealed-block × window-block
-/// scan the kernels replace, kept as the oracle for property tests.
+/// scan the kernel replaces, kept as the oracle for property tests.
 pub fn count_cross_block_reference(
     later: &[(Timestamp, FeeRate)],
     earlier: &[(Timestamp, FeeRate)],
@@ -679,30 +598,18 @@ mod tests {
         assert_eq!(stats.violating, 0);
     }
 
-    // --- cross-block kernels ---
+    // --- cross-block kernel ---
 
     fn rows(raw: &[(u64, u64)]) -> Vec<(Timestamp, FeeRate)> {
         raw.iter().map(|&(t, f)| (t, FeeRate::from_sat_per_kvb(f))).collect()
     }
 
-    /// Asserts both kernels and the auto selector against the reference.
-    fn assert_cross_kernels(later: &[(Timestamp, FeeRate)], earlier: &[(Timestamp, FeeRate)], eps: u64) {
+    /// Asserts the kernel against the reference.
+    fn assert_cross_kernel(later: &[(Timestamp, FeeRate)], earlier: &[(Timestamp, FeeRate)], eps: u64) {
         let reference = count_cross_block_reference(later, earlier, eps);
         let l = BlockPairSet::new(later.iter().copied());
         let e = BlockPairSet::new(earlier.iter().copied());
-        let merge = PairStats {
-            violating: dominant_merge(&l, &e, eps),
-            candidates: dominant_merge(&l, &e, eps) + dominant_merge(&e, &l, eps),
-            total_pairs: (l.len() * e.len()) as u64,
-        };
-        let bitset = PairStats {
-            violating: dominant_bitset(&l, &e, eps),
-            candidates: dominant_bitset(&l, &e, eps) + dominant_bitset(&e, &l, eps),
-            total_pairs: (l.len() * e.len()) as u64,
-        };
-        assert_eq!(merge, reference, "sorted-merge kernel eps={eps}");
-        assert_eq!(bitset, reference, "bitset kernel eps={eps}");
-        assert_eq!(count_cross_block(&l, &e, eps), reference, "auto kernel eps={eps}");
+        assert_eq!(count_cross_block(&l, &e, eps), reference, "eps={eps}");
     }
 
     #[test]
@@ -712,11 +619,11 @@ mod tests {
         let earlier = rows(&[(10, 50)]);
         let stats = count_cross_block_reference(&later, &earlier, 0);
         assert_eq!((stats.violating, stats.candidates, stats.total_pairs), (1, 1, 1));
-        assert_cross_kernels(&later, &earlier, 0);
+        assert_cross_kernel(&later, &earlier, 0);
         // b ∈ earlier seen first at a higher rate and confirmed first: held.
         let stats = count_cross_block_reference(&earlier, &later, 0);
         assert_eq!((stats.violating, stats.candidates), (0, 1));
-        assert_cross_kernels(&earlier, &later, 0);
+        assert_cross_kernel(&earlier, &later, 0);
     }
 
     #[test]
@@ -727,7 +634,7 @@ mod tests {
         assert_eq!(count_cross_block_reference(&later, &earlier, 10).candidates, 0);
         assert_eq!(count_cross_block_reference(&later, &earlier, 9).violating, 1);
         for eps in [0, 9, 10, 11] {
-            assert_cross_kernels(&later, &earlier, eps);
+            assert_cross_kernel(&later, &earlier, eps);
         }
     }
 
@@ -740,7 +647,7 @@ mod tests {
         for eps in [0, 1, u64::MAX] {
             let stats = count_cross_block_reference(&later, &earlier, eps);
             assert_eq!((stats.violating, stats.candidates), (0, 0));
-            assert_cross_kernels(&later, &earlier, eps);
+            assert_cross_kernel(&later, &earlier, eps);
         }
     }
 
@@ -763,7 +670,7 @@ mod tests {
                 };
                 let later = mk(nl, &mut next);
                 let earlier = mk(ne, &mut next);
-                assert_cross_kernels(&later, &earlier, eps);
+                assert_cross_kernel(&later, &earlier, eps);
             }
         }
     }
@@ -789,7 +696,7 @@ mod tests {
         epsilons.sort_unstable();
         epsilons.dedup();
         for eps in epsilons {
-            assert_cross_kernels(&later, &earlier, eps);
+            assert_cross_kernel(&later, &earlier, eps);
         }
     }
 
@@ -800,7 +707,7 @@ mod tests {
         let later = rows(&[(0, 100), (u64::MAX - 1, 50), (u64::MAX, 70)]);
         let earlier = rows(&[(3, 60), (u64::MAX, 10)]);
         for eps in [u64::MAX, u64::MAX - 1, u64::MAX / 2, 0] {
-            assert_cross_kernels(&later, &earlier, eps);
+            assert_cross_kernel(&later, &earlier, eps);
         }
         let l = BlockPairSet::new(later.iter().copied());
         let e = BlockPairSet::new(earlier.iter().copied());
@@ -818,9 +725,53 @@ mod tests {
             let later = rows(&(0..nl).map(|_| (next() % 1_000, next() % 50)).collect::<Vec<_>>());
             let earlier = rows(&(0..ne).map(|_| (next() % 1_000, next() % 50)).collect::<Vec<_>>());
             for eps in [0u64, 5, 50] {
-                assert_cross_kernels(&later, &earlier, eps);
+                assert_cross_kernel(&later, &earlier, eps);
             }
         }
+    }
+
+    #[test]
+    fn cross_block_matches_reference_above_four_thousand_rows() {
+        // Blocks of several thousand rows a side: a size no workload has
+        // produced yet, and the regime where the bitset spans ~70 words.
+        let mut state = 0x3c6e_f372_fe94_f82bu64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut side = |n: usize, recv: &dyn Fn(u64) -> u64, fee: &dyn Fn(u64) -> u64| {
+            rows(&(0..n).map(|_| (recv(next()), fee(next()))).collect::<Vec<_>>())
+        };
+        let (nl, ne) = (4_500, 5_000);
+        // Interleaved arrivals over one range, fees from a wide domain.
+        let interleaved = (
+            side(nl, &|r| r % 100_000, &|r| r % 5_000),
+            side(ne, &|r| r % 100_000, &|r| r % 5_000),
+        );
+        // Disjoint arrivals: every later-block row arrives first.
+        let disjoint = (
+            side(nl, &|r| r % 50_000, &|r| r % 5_000),
+            side(ne, &|r| 60_000 + r % 50_000, &|r| r % 5_000),
+        );
+        // Fee/time tie lattice: times on a 10 s grid, four fee values.
+        let lattice = (
+            side(nl, &|r| (r % 80) * 10, &|r| [10, 10, 20, 30][(r % 4) as usize]),
+            side(ne, &|r| (r % 80) * 10, &|r| [10, 10, 20, 30][(r % 4) as usize]),
+        );
+        for (later, earlier) in [&interleaved, &disjoint, &lattice] {
+            assert!(later.len() > 4_096 && earlier.len() > 4_096);
+            for eps in [0u64, 10, 600, u64::MAX] {
+                assert_cross_kernel(later, earlier, eps);
+                assert_cross_kernel(earlier, later, eps);
+            }
+        }
+        // The disjoint case is not vacuous: at ε = 0 every fee-decided
+        // pair is a violation one way round and held the other.
+        let l = BlockPairSet::new(disjoint.0.iter().copied());
+        let e = BlockPairSet::new(disjoint.1.iter().copied());
+        let forward = count_cross_block(&l, &e, 0);
+        assert!(forward.violating > 0 && forward.violating == forward.candidates);
+        assert_eq!(count_cross_block(&e, &l, 0).violating, 0);
     }
 
     #[test]

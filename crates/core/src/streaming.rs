@@ -20,6 +20,10 @@
 //!   [`cn_stats::stream`]), streaming delay/fee-rate quantiles
 //!   ([`Histogram`]), windowed pair-violation counts, and an incremental
 //!   binomial + Fisher evaluation over the per-epoch violation counts.
+//!   The pair counts come from one [`count_cross_block`] call per window
+//!   partner, in window order, on the calling thread: with block rowsets
+//!   of a few hundred rows a seal is far too little work for a fan-out
+//!   to pay for its threads.
 //!
 //! # Memory bound
 //!
@@ -61,7 +65,7 @@ use crate::sppe::block_sppes;
 use cn_chain::{Address, Block, FastMap, FastSet, FeeRate, Timestamp, Txid, UtxoSet};
 use cn_mempool::MempoolSnapshot;
 use cn_stats::stream::{Histogram, MinerAccumulator};
-use cn_stats::{binomial_test, fisher_combine, Pool, Tail};
+use cn_stats::{binomial_test, fisher_combine, Tail};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One event of the interleaved audit input stream.
@@ -191,7 +195,7 @@ struct WindowBlock {
     time: Timestamp,
     miner: Option<String>,
     rows: Vec<WindowRow>,
-    /// Eligible rows pre-sorted for the cross-block pair kernels, built
+    /// Eligible rows pre-sorted for the cross-block pair kernel, built
     /// once when this height seals and reused by every later seal that
     /// pairs against it.
     pairs: Option<BlockPairSet>,
@@ -318,10 +322,6 @@ pub struct StreamingAuditor {
     delay_hist: Histogram,
     feerate_hist: Histogram,
 
-    /// Fork-join pool for the window pair scans (deterministic join; a
-    /// width-1 pool is exactly the serial loop).
-    pool: Pool,
-
     counters: StreamCounters,
 }
 
@@ -350,16 +350,8 @@ impl StreamingAuditor {
             // 30 s buckets out to 2 h; 1 sat/vB buckets out to 500.
             delay_hist: Histogram::new(0.0, 7_200.0, 240),
             feerate_hist: Histogram::new(0.0, 500.0, 500),
-            pool: Pool::auto(),
             counters: StreamCounters::default(),
         }
-    }
-
-    /// Overrides the fork-join width for the window pair scans. Output is
-    /// byte-identical at any width; this only moves wall time.
-    pub fn with_workers(mut self, workers: usize) -> StreamingAuditor {
-        self.pool = Pool::with_workers(workers);
-        self
     }
 
     /// The configured parameters.
@@ -568,8 +560,8 @@ impl StreamingAuditor {
         // pair is a candidate when one side was seen ≥ ε earlier at a
         // strictly higher fee rate, and violating when that side
         // nevertheless confirmed later — exactly the nested scan
-        // `count_cross_block_reference` spells out; the kernels are
-        // integer-exact replacements.
+        // `count_cross_block_reference` spells out; the kernel is an
+        // integer-exact replacement.
         let sealed_set = BlockPairSet::new(
             sealed_block
                 .rows
@@ -577,23 +569,13 @@ impl StreamingAuditor {
                 .filter(|r| !r.excluded)
                 .filter_map(|r| r.seen.map(|s| (s.received, r.fee_rate))),
         );
-        let partners: Vec<(&str, &BlockPairSet)> = self
-            .window
-            .range(lo..height)
-            .filter_map(|(_, earlier)| match (earlier.miner.as_deref(), earlier.pairs.as_ref()) {
-                (Some(miner), Some(pairs)) => Some((miner, pairs)),
-                _ => None,
-            })
-            .collect();
-        // Each window comparison is independent; fan out only when the
-        // kernels have real work, otherwise thread spawn dominates.
-        let work: usize =
-            sealed_set.len() * partners.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let pool =
-            if work >= 1 << 16 { self.pool } else { Pool::serial() };
-        let counts = pool.map(&partners, |&(_, pairs)| count_cross_block(&sealed_set, pairs, eps));
         let mut charges: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for (&(miner, _), stats) in partners.iter().zip(&counts) {
+        for (_, earlier) in self.window.range(lo..height) {
+            let (Some(miner), Some(pairs)) = (earlier.miner.as_deref(), earlier.pairs.as_ref())
+            else {
+                continue;
+            };
+            let stats = count_cross_block(&sealed_set, pairs, eps);
             if stats.candidates > 0 {
                 let c = charges.entry(miner).or_default();
                 c.0 += stats.violating;

@@ -3,9 +3,9 @@
 //! A simulation's observable output is one canonical event stream: blocks
 //! and primary-observer mempool snapshots, time-sorted with blocks first on
 //! same-second ties (exactly what `cn_core::streaming::interleave` produces
-//! from a finished run, and what [`StreamingAuditor`] consumes). This
-//! module serializes that stream into a segmented binary log and replays
-//! it, so run length becomes a disk cost instead of a RAM cost:
+//! from a finished run, and what [`cn_core::StreamingAuditor`] consumes).
+//! This module serializes that stream into a segmented binary log and
+//! replays it, so run length becomes a disk cost instead of a RAM cost:
 //!
 //! * [`LogWriter`] implements [`cn_sim::EventSink`], so a chunked
 //!   `World::run_streamed` writes the log directly while dropping records

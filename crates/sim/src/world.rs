@@ -1,7 +1,7 @@
 //! The simulation runner: turns a [`Scenario`] into a chain, a snapshot
 //! stream, and ground truth.
 
-use crate::event::{BucketQueue, SimMillis};
+use crate::event::{EventQueue, SimMillis};
 use crate::profile::SimProfile;
 use crate::sink::EventSink;
 use crate::scenario::{PoolBehavior, Scenario};
@@ -88,7 +88,7 @@ pub struct SimOutput {
 
 /// What a chunked [`World::run_streamed`] run hands back: aggregate
 /// counters only — the artifacts themselves went to the
-/// [`EventSink`](crate::sink::EventSink) and were dropped from memory.
+/// [`EventSink`] and were dropped from memory.
 #[derive(Debug, Clone)]
 pub struct StreamedSummary {
     /// Blocks connected (and emitted to the sink).
@@ -502,7 +502,7 @@ impl World {
     /// chunked path streams-and-drops, the monolithic path does nothing).
     fn run_loop(&mut self, tap: &mut dyn RunTap) {
         let horizon_ms: SimMillis = self.scenario.duration * 1_000;
-        let mut queue: BucketQueue<Ev> = BucketQueue::new();
+        let mut queue: EventQueue<Ev> = EventQueue::new();
 
         // Prime the schedule.
         if let Some(first) = self.next_user_arrival(0) {
@@ -764,7 +764,7 @@ impl World {
         }
     }
 
-    fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
+    fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
         // Drawing the record is timed as `pregen`, the rest as `issue`.
         let drawn = Instant::now();
         let draws = self.draw_user_tx(self.user_tx_count);
@@ -838,7 +838,7 @@ impl World {
         self.broadcast(built, now_ms, queue, false, draws.origin as usize);
     }
 
-    fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
+    fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
         let issue_started = Instant::now();
         let now_secs = now_ms / 1_000;
         // Self-transfers draw from their own indexed fork, like user
@@ -904,7 +904,7 @@ impl World {
         &mut self,
         built: BuiltTx,
         now_ms: SimMillis,
-        queue: &mut BucketQueue<Ev>,
+        queue: &mut EventQueue<Ev>,
         miner_origin: bool,
         origin: usize,
     ) {

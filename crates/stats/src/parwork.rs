@@ -19,6 +19,56 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// CI dual-run gate to force 1-worker and N-worker runs on the same box).
 pub const WORKERS_ENV: &str = "CN_WORKERS";
 
+/// The widest pool a `CN_WORKERS` value may ask for.
+pub const MAX_WORKERS: usize = 64;
+
+/// Why a worker-count value was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WorkersError {
+    /// The value is not a decimal integer (as given, lossily decoded).
+    NotAnInteger(String),
+    /// The value is zero: a pool needs at least one worker.
+    Zero,
+    /// The value exceeds [`MAX_WORKERS`].
+    TooMany(usize),
+}
+
+impl std::fmt::Display for WorkersError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkersError::NotAnInteger(v) => write!(f, "{v:?} is not an integer"),
+            WorkersError::Zero => write!(f, "0 workers; the minimum is 1"),
+            WorkersError::TooMany(n) => write!(f, "{n} workers; the maximum is {MAX_WORKERS}"),
+        }
+    }
+}
+
+impl std::error::Error for WorkersError {}
+
+/// Parses a worker count in `1..=MAX_WORKERS`, ignoring surrounding
+/// whitespace.
+fn parse_workers(value: &str) -> Result<usize, WorkersError> {
+    match value.trim().parse::<usize>() {
+        Ok(0) => Err(WorkersError::Zero),
+        Ok(n) if n > MAX_WORKERS => Err(WorkersError::TooMany(n)),
+        Ok(n) => Ok(n),
+        Err(_) => Err(WorkersError::NotAnInteger(value.to_string())),
+    }
+}
+
+/// The `CN_WORKERS` override: `Ok(None)` when unset, the parsed width when
+/// valid, and the rejection otherwise. A binary that must not silently run
+/// at another width than asked checks this before any work.
+pub fn workers_from_env() -> Result<Option<usize>, WorkersError> {
+    match std::env::var(WORKERS_ENV) {
+        Ok(v) => parse_workers(&v).map(Some),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(WorkersError::NotAnInteger(v.to_string_lossy().into_owned()))
+        }
+    }
+}
+
 /// A fixed-width fork-join pool descriptor.
 ///
 /// `Pool` is a plain value (no threads are retained between calls); each
@@ -31,12 +81,16 @@ pub struct Pool {
 
 impl Pool {
     /// A pool sized from `CN_WORKERS` if set (clamped to `1..=64`), else
-    /// from [`std::thread::available_parallelism`].
+    /// from [`std::thread::available_parallelism`]. A value that is not an
+    /// integer falls back to the detected width; see [`workers_from_env`]
+    /// for the checked reading.
     pub fn auto() -> Pool {
         let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = match std::env::var(WORKERS_ENV) {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(detected).clamp(1, 64),
-            Err(_) => detected,
+        let workers = match workers_from_env() {
+            Ok(Some(n)) => n,
+            Ok(None) | Err(WorkersError::NotAnInteger(_)) => detected,
+            Err(WorkersError::Zero) => 1,
+            Err(WorkersError::TooMany(_)) => MAX_WORKERS,
         };
         Pool { workers }
     }
@@ -136,6 +190,18 @@ mod tests {
         let empty: [u8; 0] = [];
         assert!(Pool::with_workers(8).map(&empty, |&b| b).is_empty());
         assert_eq!(Pool::with_workers(8).map(&[7u8], |&b| b * 2), vec![14]);
+    }
+
+    #[test]
+    fn parse_workers_accepts_one_to_max_and_rejects_the_rest() {
+        assert_eq!(parse_workers("1"), Ok(1));
+        assert_eq!(parse_workers(" 16\n"), Ok(16));
+        assert_eq!(parse_workers("64"), Ok(MAX_WORKERS));
+        assert_eq!(parse_workers("0"), Err(WorkersError::Zero));
+        assert_eq!(parse_workers("65"), Err(WorkersError::TooMany(65)));
+        for bad in ["l6", "", " ", "-1", "1.5", "16x", "99999999999999999999999"] {
+            assert_eq!(parse_workers(bad), Err(WorkersError::NotAnInteger(bad.to_string())));
+        }
     }
 
     #[test]
