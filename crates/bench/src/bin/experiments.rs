@@ -26,9 +26,9 @@
 //! plain in-thread loop); output is buffered per experiment and printed in
 //! presentation order, so parallel runs are byte-identical to `--serial`
 //! runs modulo the wall-clock figures in `[... took ...]` lines. Each run
-//! also writes `BENCH_pipeline.json` with the mode that ran, per-dataset
-//! simulation times, per-experiment times, and total wall time — the perf
-//! trajectory every future change is measured against.
+//! but `--verify` also writes `BENCH_pipeline.json` with the mode that
+//! ran, per-dataset simulation times, per-experiment times, and total wall
+//! time — the perf trajectory every future change is measured against.
 //!
 //! Output is printed and mirrored to `results/<id>.txt`, each file
 //! written to a temporary name and renamed into place so a failed run
@@ -36,7 +36,8 @@
 //! report is instead compared byte-for-byte against the checked-in
 //! `results/<id>.txt`, which is left untouched; any mismatch fails the
 //! run (exit 3) after all experiments finish, making golden drift visible
-//! in CI.
+//! in CI. A `--verify` run writes nothing, `BENCH_pipeline.json`
+//! included.
 //!
 //! Exit status: 0 on success, 1 when a result or `BENCH_pipeline.json`
 //! could not be written, 2 for a rejected command line (unknown flag or
@@ -220,11 +221,21 @@ fn main() {
     }
 
     let total_wall = wall_started.elapsed().as_secs_f64();
-    if let Err(e) =
-        write_bench_json(&lab, scale, mode, detected, pool.workers(), &experiment_secs, total_wall)
-    {
-        eprintln!("error: could not write BENCH_pipeline.json: {e}");
-        write_failed = true;
+    // A check writes nothing: from the repo root the trajectory is a
+    // committed file, and `--verify` only reads.
+    if !verify {
+        if let Err(e) = write_bench_json(
+            &lab,
+            scale,
+            mode,
+            detected,
+            pool.workers(),
+            &experiment_secs,
+            total_wall,
+        ) {
+            eprintln!("error: could not write BENCH_pipeline.json: {e}");
+            write_failed = true;
+        }
     }
     if write_failed {
         std::process::exit(1);

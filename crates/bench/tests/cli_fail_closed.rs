@@ -1,5 +1,6 @@
 //! The `experiments` binary fails closed: a rejected command line writes
-//! nothing, and `--verify` never rewrites the goldens it checks.
+//! nothing, and `--verify` writes nothing either — neither the goldens it
+//! checks nor `BENCH_pipeline.json`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -60,6 +61,8 @@ fn verify_reports_drift_and_leaves_the_golden_untouched() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("fig1 output differs"));
     assert_eq!(std::fs::read_to_string(dir.join("results/fig1.txt")).expect("golden"), stale);
     assert_eq!(dir_entries(&dir.join("results")), ["fig1.txt"], "no temporary files left");
+    assert!(!dir.join("BENCH_pipeline.json").exists(), "a check writes no trajectory");
+    assert_eq!(dir_entries(&dir), ["results"], "nothing else written");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,6 +8,7 @@
 use crate::hash::Hash256;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::io::{self, Read};
 
 /// Error returned when decoding malformed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +127,44 @@ pub fn read_compact_size(buf: &mut Bytes) -> Result<u64, DecodeError> {
     Ok(value)
 }
 
+/// Fills `buf` from an [`io::Read`] stream. End of input before `buf` is
+/// full is `on_eof`, so each caller names what truncation means to its
+/// format; any other stream failure converts through `From<io::Error>`.
+pub fn read_exact_or<R, E>(input: &mut R, buf: &mut [u8], on_eof: E) -> Result<(), E>
+where
+    R: Read + ?Sized,
+    E: From<io::Error>,
+{
+    match input.read_exact(buf) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(on_eof),
+        Err(e) => Err(E::from(e)),
+    }
+}
+
+/// Reads a compact-size varint straight off an [`io::Read`] stream, with
+/// the canonical-form check of [`read_compact_size`]. End of input before
+/// the value is complete is `on_eof`; at most nine bytes are read.
+pub fn read_compact_size_io<R, E>(input: &mut R, on_eof: E) -> Result<u64, E>
+where
+    R: Read + ?Sized,
+    E: From<io::Error> + From<DecodeError>,
+{
+    let mut raw = [0u8; 9];
+    if let Err(e) = input.read_exact(&mut raw[..1]) {
+        return Err(if e.kind() == io::ErrorKind::UnexpectedEof { on_eof } else { E::from(e) });
+    }
+    let extra = match raw[0] {
+        0xfd => 2,
+        0xfe => 4,
+        0xff => 8,
+        n => return Ok(n as u64),
+    };
+    read_exact_or(input, &mut raw[1..=extra], on_eof)?;
+    let mut bytes = Bytes::copy_from_slice(&raw[..=extra]);
+    Ok(read_compact_size(&mut bytes)?)
+}
+
 /// Number of bytes `write_compact_size` will emit for `n`.
 pub const fn compact_size_len(n: u64) -> usize {
     match n {
@@ -239,6 +278,47 @@ mod tests {
         assert_eq!(read_compact_size(&mut bytes), Err(DecodeError::UnexpectedEnd));
         let mut empty = Bytes::new();
         assert_eq!(read_compact_size(&mut empty), Err(DecodeError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn stream_reader_matches_the_buffer_reader() {
+        for n in [0, 0xfc, 0xfd, 0xffff, 0x1_0000, 0xffff_ffff, 0x1_0000_0000, u64::MAX] {
+            let mut buf = BytesMut::new();
+            write_compact_size(&mut buf, n);
+            let mut input = &buf[..];
+            let got: Result<u64, ReadFail> = read_compact_size_io(&mut input, ReadFail::Eof);
+            assert_eq!(got.expect("round trip"), n);
+            assert!(input.is_empty(), "read exactly the varint");
+            let torn: Result<u64, ReadFail> =
+                read_compact_size_io(&mut &buf[..buf.len() - 1], ReadFail::Eof);
+            assert!(matches!(torn, Err(ReadFail::Eof)), "{n}: torn varint");
+        }
+        let non_canonical: Result<u64, ReadFail> =
+            read_compact_size_io(&mut &[0xfd, 0x01, 0x00][..], ReadFail::Eof);
+        assert!(matches!(
+            non_canonical,
+            Err(ReadFail::Decode(DecodeError::NonCanonicalCompactSize))
+        ));
+    }
+
+    /// A caller's error type for the stream readers.
+    #[derive(Debug)]
+    enum ReadFail {
+        Eof,
+        Io,
+        Decode(DecodeError),
+    }
+
+    impl From<io::Error> for ReadFail {
+        fn from(_: io::Error) -> Self {
+            ReadFail::Io
+        }
+    }
+
+    impl From<DecodeError> for ReadFail {
+        fn from(e: DecodeError) -> Self {
+            ReadFail::Decode(e)
+        }
     }
 
     #[test]

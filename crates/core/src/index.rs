@@ -102,7 +102,10 @@ impl ChainIndex {
     /// Panics when the heights are not contiguous.
     pub fn from_blocks(blocks: Vec<BlockInfo>) -> ChainIndex {
         let base = blocks.first().map(|b| b.height).unwrap_or(0);
-        let mut by_txid = FastMap::default();
+        // Sized up front: growing to the final size would briefly hold the
+        // last two tables at once.
+        let txs = blocks.iter().map(|b| b.txs.len()).sum();
+        let mut by_txid = FastMap::with_capacity_and_hasher(txs, Default::default());
         for (i, block) in blocks.iter().enumerate() {
             assert_eq!(block.height, base + i as u64, "blocks must be contiguous");
             for tx in &block.txs {

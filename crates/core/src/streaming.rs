@@ -53,7 +53,7 @@
 //! `verdict()` time. Any interleaving of the same events therefore yields
 //! the same verdict — the property `tests/streaming_equivalence.rs` pins.
 
-use crate::attribution::attribute;
+use crate::attribution::{attribute, Attribution};
 use crate::auditor::{audit_attributed, AuditConfig, AuditReport};
 use crate::coverage::{SnapshotCoverage, StreamExpectation};
 use crate::error::AuditError;
@@ -666,22 +666,28 @@ impl StreamingAuditor {
     /// and snapshot set, with the same refusal semantics (empty stream,
     /// coverage floor).
     pub fn verdict(&self) -> Result<AuditReport, AuditError> {
-        self.verdict_with_digest(&self.index, &self.observed, &self.addr_txids)
+        let attribution = attribute(&self.index);
+        self.verdict_with_digest(&self.index, &self.observed, attribution, &self.addr_txids)
     }
 
     /// The exact audit with the chain-digest side supplied by the caller —
     /// the restore half of the [`StreamingAuditor::drain_digest`] contract.
     /// A caller that checkpointed digest segments out of memory rebuilds
-    /// the full `index`, `observed` set, and `addr_txids` log (drained
-    /// segments + this auditor's retained remainder) and gets the verdict
-    /// [`StreamingAuditor::verdict`] would have produced had nothing been
-    /// drained. Coverage counters, refusal semantics, and poisoning are
-    /// still this auditor's own.
+    /// the full `index` and `observed` set (drained segments + this
+    /// auditor's retained remainder), attributes pools once
+    /// (`attribution` must be [`attribute`] of `index`), and supplies
+    /// `wallet_txids`: the address log entries of at least every
+    /// attributed pool wallet, in confirmation order. The self-interest map
+    /// reads no other address, so the rest of the log may be dropped. The
+    /// result is the verdict [`StreamingAuditor::verdict`] would have
+    /// produced had nothing been drained. Coverage counters, refusal
+    /// semantics, and poisoning are still this auditor's own.
     pub fn verdict_with_digest(
         &self,
         index: &ChainIndex,
         observed: &FastSet<Txid>,
-        addr_txids: &FastMap<Address, Vec<Txid>>,
+        attribution: Attribution,
+        wallet_txids: &FastMap<Address, Vec<Txid>>,
     ) -> Result<AuditReport, AuditError> {
         if let Some(height) = self.poisoned {
             return Err(AuditError::UnreplayableBlock { height });
@@ -707,7 +713,6 @@ impl StreamingAuditor {
                 required: self.config.expectation.min_coverage,
             });
         }
-        let attribution = attribute(index);
         // Rebuild the self-interest map from the address log: pool wallet
         // inventories are only known now (attribution is retroactive), and
         // the log recorded exactly what the batch UTXO replay would see.
@@ -715,7 +720,7 @@ impl StreamingAuditor {
         for pool in &attribution.pools {
             let mut set = FastSet::default();
             for wallet in &pool.wallets {
-                if let Some(txids) = addr_txids.get(wallet) {
+                if let Some(txids) = wallet_txids.get(wallet) {
                     set.extend(txids.iter().copied());
                 }
             }

@@ -46,7 +46,8 @@
 #![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used, clippy::panic))]
 
 use cn_chain::encode::{
-    ensure_remaining, read_compact_size, write_compact_size, DecodeError, MAX_DECODE_LEN,
+    ensure_remaining, read_compact_size, read_compact_size_io, read_exact_or, write_compact_size,
+    DecodeError, MAX_DECODE_LEN,
 };
 use cn_chain::{Amount, Block, Decodable, Encodable, FastMap, Timestamp, Transaction, Txid, UtxoSet};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
@@ -355,14 +356,14 @@ impl<R: Read> LogReader<R> {
         if &magic != LOG_MAGIC {
             return Err(LogError::BadMagic);
         }
-        let count = read_compact_io(&mut input)?;
+        let count = read_compact_size_io(&mut input, LogError::TruncatedRecord)?;
         if count > MAX_DECODE_LEN {
             return Err(LogError::Decode(DecodeError::OversizedLength(count)));
         }
         // The claimed count is untrusted until the txs actually decode.
         let mut seeds = Vec::with_capacity((count as usize).min(1_024));
         for _ in 0..count {
-            let len = read_compact_io(&mut input)?;
+            let len = read_compact_size_io(&mut input, LogError::TruncatedRecord)?;
             if len > MAX_DECODE_LEN {
                 return Err(LogError::Decode(DecodeError::OversizedLength(len)));
             }
@@ -406,7 +407,7 @@ impl<R: Read> LogReader<R> {
                 None => return Ok(None),
                 Some(t) => t,
             };
-            let len = read_compact_io(&mut self.input)?;
+            let len = read_compact_size_io(&mut self.input, LogError::TruncatedRecord)?;
             if len > MAX_DECODE_LEN {
                 return Err(LogError::Decode(DecodeError::OversizedLength(len)));
             }
@@ -556,32 +557,6 @@ fn read_u8_opt<R: Read>(input: &mut R) -> Result<Option<u8>, LogError> {
             Err(e) => return Err(LogError::Io(e)),
         }
     }
-}
-
-fn read_exact_or<R: Read>(input: &mut R, buf: &mut [u8], on_eof: LogError) -> Result<(), LogError> {
-    match input.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(on_eof),
-        Err(e) => Err(LogError::Io(e)),
-    }
-}
-
-/// Reads a compact-size varint directly from an [`io::Read`] stream,
-/// mapping EOF onto [`LogError::TruncatedRecord`].
-fn read_compact_io<R: Read>(input: &mut R) -> Result<u64, LogError> {
-    let mut first = [0u8; 1];
-    read_exact_or(input, &mut first, LogError::TruncatedRecord)?;
-    let extra = match first[0] {
-        0xfd => 2,
-        0xfe => 4,
-        0xff => 8,
-        n => return Ok(n as u64),
-    };
-    let mut rest = [0u8; 9];
-    read_exact_or(input, &mut rest[1..=extra], LogError::TruncatedRecord)?;
-    rest[0] = first[0];
-    let mut bytes = Bytes::copy_from_slice(&rest[..=extra]);
-    Ok(read_compact_size(&mut bytes)?)
 }
 
 #[cfg(test)]
